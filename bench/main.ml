@@ -169,6 +169,13 @@ module Perf = struct
     | [ c ] -> B.cardinal c < total
     | _ :: _ :: _ -> true
 
+  (* The definition, over the full component list. *)
+  let is_balanced_ref h ~within ~special u =
+    let bound = (B.cardinal within + Array.length special) / 2 in
+    List.for_all
+      (fun (es, sps) -> B.cardinal es + List.length sps <= bound)
+      (Hg.Components.components_extended h ~within ~special u)
+
   (* (ns/op, minor words/op) over [iters] runs, after warmup. *)
   let measure f iters =
     for _ = 1 to 100 do ignore (Sys.opaque_identity (f ())) done;
@@ -214,6 +221,11 @@ module Perf = struct
     assert (
       Hg.Components.separates medium ~within:all sep
       = separates_ref medium ~within:all sep);
+    (* A bag the heavy-vertex prefilter lets through and the BFS rejects:
+       the row times the early-exit search, not just the subset test. *)
+    assert (B.subset (Hg.Components.heavy_vertices medium ~within:all ~special:[||]) sep);
+    assert (not (is_balanced_ref medium ~within:all ~special:[||] sep));
+    assert (not (Hg.Components.is_balanced medium ~within:all ~special:[||] sep));
     let kernel op current baseline =
       let ns, words = measure current iters in
       let base_ns, base_words = measure baseline iters in
@@ -233,6 +245,9 @@ module Perf = struct
         kernel "separates"
           (fun () -> Hg.Components.separates medium ~within:all sep)
           (fun () -> separates_ref medium ~within:all sep);
+        kernel "is_balanced"
+          (fun () -> Hg.Components.is_balanced medium ~within:all ~special:[||] sep)
+          (fun () -> is_balanced_ref medium ~within:all ~special:[||] sep);
       ]
     in
     (* Whole-instance runs: end-to-end effect of the kernel on the search. *)

@@ -54,6 +54,17 @@ let timeout_arg =
     & opt float 60.0
     & info [ "timeout" ] ~docv:"SECONDS" ~doc:"Per-run timeout in seconds.")
 
+(* Option defaults below read HB_JOBS while the command line is built,
+   so a malformed value is reported here — before any command runs, with
+   the same exit code as a bad HB_FAULT spec — instead of escaping module
+   initialisation as an uncaught exception. *)
+let () =
+  match Kit.Proc.default_jobs () with
+  | _ -> ()
+  | exception Invalid_argument m ->
+      Printf.eprintf "hyperbench: %s\n%!" m;
+      exit 1
+
 let jobs_arg =
   Arg.(
     value

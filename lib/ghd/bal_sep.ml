@@ -250,6 +250,14 @@ and attempt env ~solve_children ~depth h' sp =
     (* [vertices_of_edges] hands back a fresh accumulator we own. *)
     let scope = Hypergraph.vertices_of_edges h h' in
     Array.iter (fun s -> Bitset.union_into ~into:scope s) sp_arr;
+    (* Per-node buffers: the rejection test and the bag accumulator are
+       reused by every separator tried here; only an accepted bag is
+       copied out. Rejecting is cheap (heavy-vertex subset test, then an
+       early-exit BFS) and touches neither the deadline nor the
+       counters, so the fuel spent and every counter are the same as
+       with a full component computation per separator. *)
+    let balanced = Hg.Components.is_balanced h ~within:h' ~special:sp_arr in
+    let bag_buf = Bitset.empty env.nv in
     let try_separator lambda =
       Deadline.check env.deadline;
       Metrics.incr m_separators;
@@ -258,54 +266,45 @@ and attempt env ~solve_children ~depth h' sp =
          foreign vertices must not enter bags here or connectedness of
          the final assembly breaks. Covering and component computation
          are unaffected. *)
-      let bag =
-        let acc = Bitset.empty env.nv in
-        List.iter
-          (fun (c : Detk.candidate) -> Bitset.union_into ~into:acc c.vertices)
-          lambda;
-        Bitset.inter_into ~into:acc scope;
-        acc
-      in
-      if Bitset.is_empty bag then None
-      else
+      Bitset.clear bag_buf;
+      List.iter
+        (fun (c : Detk.candidate) -> Bitset.union_into ~into:bag_buf c.vertices)
+        lambda;
+      Bitset.inter_into ~into:bag_buf scope;
+      if Bitset.is_empty bag_buf then None
+      else if not (balanced bag_buf) then begin
+        Metrics.incr m_balance_rejections;
+        None
+      end
+      else begin
+        let bag = Bitset.copy bag_buf in
         let comps =
           Hg.Components.components_extended h ~within:h' ~special:sp_arr bag
         in
-        let bound = total / 2 in
-        let balanced =
-          List.for_all
-            (fun (es, sps) -> Bitset.cardinal es + List.length sps <= bound)
+        let s = fresh_special ~depth bag in
+        let subs =
+          List.map
+            (fun (es, sps) ->
+              { comp = es; sp = s :: List.map (fun i -> sp_idx.(i)) sps })
             comps
         in
-        if not balanced then begin
-          Metrics.incr m_balance_rejections;
-          None
-        end
-        else begin
-          let s = fresh_special ~depth bag in
-          let subs =
-            List.map
-              (fun (es, sps) ->
-                { comp = es; sp = s :: List.map (fun i -> sp_idx.(i)) sps })
-              comps
-          in
-          match solve_children ~depth:(depth + 1) subs with
-          | None -> None
-          | Some children ->
-              let cover =
-                List.map
-                  (fun (c : Detk.candidate) ->
-                    {
-                      Decomp.label = c.label;
-                      vertices = c.vertices;
-                      source = c.source;
-                    })
-                  lambda
-              in
-              Some
-                (build_ghd bag cover ~special_lab:(special_label s)
-                   ~special_verts:s.verts children)
-        end
+        match solve_children ~depth:(depth + 1) subs with
+        | None -> None
+        | Some children ->
+            let cover =
+              List.map
+                (fun (c : Detk.candidate) ->
+                  {
+                    Decomp.label = c.label;
+                    vertices = c.vertices;
+                    source = c.source;
+                  })
+                lambda
+            in
+            Some
+              (build_ghd bag cover ~special_lab:(special_label s)
+                 ~special_verts:s.verts children)
+      end
     in
     (* Enumerate combinations out of [pool]; in the subedge phase at
        least one element must come from the subedge suffix. The candidate

@@ -17,7 +17,7 @@ module Bitset = Kit.Bitset
    on every call — one record replaces four closures on the profile. *)
 type st = {
   h : Hypergraph.t;
-  u : Bitset.t;
+  mutable u : Bitset.t; (* reset per separator by [is_balanced] *)
   remaining : Bitset.t; (* candidate edges not yet assigned *)
   touch : Bitset.t; (* per-round: remaining edges meeting the region *)
   verts : Bitset.t; (* per-round: new region vertices *)
@@ -162,13 +162,114 @@ let separates h ~within u =
         !count < total
   end
 
-let is_balanced h ~within ~special u =
-  let total = Bitset.cardinal within + Array.length special in
-  let bound = total / 2 in
-  let comps = components_extended h ~within ~special u in
-  List.for_all
-    (fun (es, sps) -> Bitset.cardinal es + List.length sps <= bound)
-    comps
+(* A vertex v outside the separator drags every edge and special that
+   contains it into one component, so a separator missing a vertex of
+   degree > bound (counting specials) cannot be balanced. *)
+let heavy_vertices h ~within ~special =
+  let nv = h.Hypergraph.n_vertices in
+  let bound = (Bitset.cardinal within + Array.length special) / 2 in
+  let heavy = Bitset.empty nv in
+  for v = 0 to nv - 1 do
+    let d = ref (Bitset.inter_cardinal h.Hypergraph.incidence.(v) within) in
+    for i = 0 to Array.length special - 1 do
+      if Bitset.mem v special.(i) then incr d
+    done;
+    if !d > bound then Bitset.add_in_place v heavy
+  done;
+  heavy
+
+(* Size-only variant of [grow]: counts the edges and specials joining the
+   component seeded in [region], and stops as soon as the count exceeds
+   [bound] — the caller only needs to know that it does. *)
+let rec grow_count st ~bound size =
+  if size > bound then size
+  else begin
+    Hypergraph.edges_touching_into st.h st.region ~into:st.touch;
+    Bitset.inter_into ~into:st.touch st.remaining;
+    Hypergraph.vertices_of_edges_into st.h st.touch ~into:st.verts;
+    let joined = Bitset.cardinal st.touch + take_specials st 0 0 in
+    if joined = 0 then size
+    else begin
+      Bitset.diff_into ~into:st.remaining st.touch;
+      Bitset.diff_into ~into:st.verts st.u;
+      Bitset.union_into ~into:st.region st.verts;
+      grow_count st ~bound (size + joined)
+    end
+  end
+
+(* Specials meeting the region join: mark them placed, add their vertices
+   to [verts], and count them. *)
+and take_specials st n i =
+  if i >= n_special st then n
+  else if st.special_left.(i) && Bitset.intersects st.special.(i) st.region then begin
+    st.special_left.(i) <- false;
+    Bitset.union_into ~into:st.verts st.special.(i);
+    take_specials st (n + 1) (i + 1)
+  end
+  else take_specials st n (i + 1)
+
+(* [left] counts the edges and specials not yet placed in a component
+   (absorbed edges included until they are met as seeds): once at most
+   [bound] are left, no further component can be too large. *)
+let rec balanced_rest st ~bound left =
+  if left <= bound then true
+  else begin
+    let e = Bitset.first st.remaining in
+    if e >= 0 then begin
+      Bitset.remove_in_place e st.remaining;
+      if Bitset.subset st.h.Hypergraph.edges.(e) st.u then
+        balanced_rest st ~bound (left - 1)
+      else begin
+        Bitset.copy_into st.h.Hypergraph.edges.(e) ~into:st.region;
+        Bitset.diff_into ~into:st.region st.u;
+        let size = grow_count st ~bound 1 in
+        size <= bound && balanced_rest st ~bound (left - size)
+      end
+    end
+    else begin
+      let i = first_special_left st 0 in
+      i < 0
+      || begin
+           st.special_left.(i) <- false;
+           Bitset.copy_into st.special.(i) ~into:st.region;
+           Bitset.diff_into ~into:st.region st.u;
+           let size = grow_count st ~bound 1 in
+           size <= bound && balanced_rest st ~bound (left - size)
+         end
+    end
+  end
+
+let is_balanced h ~within ~special =
+  let ne = h.Hypergraph.n_edges in
+  let nv = h.Hypergraph.n_vertices in
+  let n_within = Bitset.cardinal within in
+  let bound = (n_within + Array.length special) / 2 in
+  let heavy = heavy_vertices h ~within ~special in
+  let st =
+    {
+      h;
+      u = heavy; (* placeholder: each application sets the separator *)
+      remaining = Bitset.empty ne;
+      touch = Bitset.empty ne;
+      verts = Bitset.empty nv;
+      region = Bitset.empty nv;
+      special;
+      special_left = Array.make (Array.length special) false;
+    }
+  in
+  fun u ->
+    Bitset.subset heavy u
+    && begin
+         st.u <- u;
+         Bitset.copy_into within ~into:st.remaining;
+         let left = ref n_within in
+         for i = 0 to Array.length special - 1 do
+           let out = not (Bitset.subset special.(i) u) in
+           st.special_left.(i) <- out;
+           if out then incr left
+         done;
+         balanced_rest st ~bound !left
+       end
 
 let connected h =
   match components h ~within:(Hypergraph.all_edges h) (Bitset.empty h.Hypergraph.n_vertices) with

@@ -18,6 +18,13 @@ val separates : Hypergraph.t -> within:Kit.Bitset.t -> Kit.Bitset.t -> bool
     grown — as soon as it is known to miss part of [within] the answer is
     yes without materialising the rest. *)
 
+val heavy_vertices :
+  Hypergraph.t -> within:Kit.Bitset.t -> special:Kit.Bitset.t array -> Kit.Bitset.t
+(** Vertices lying in more than half of the (ordinary plus special)
+    edges of the extended subhypergraph. Every edge containing a vertex
+    outside the separator lands in that vertex's component, so a
+    separator that misses a heavy vertex is never balanced. *)
+
 val is_balanced :
   Hypergraph.t ->
   within:Kit.Bitset.t ->
@@ -27,7 +34,18 @@ val is_balanced :
 (** Balanced-separator test used by BalSep (Definition 7): every
     [u]-component of the extended subhypergraph with [within] ordinary
     edges and [special] special edges must contain at most half of the
-    total number of (ordinary plus special) edges. *)
+    total number of (ordinary plus special) edges.
+
+    Staged for a loop over many separators of one subproblem:
+    [is_balanced h ~within ~special] computes {!heavy_vertices} and
+    allocates the BFS buffers once; each application to a separator [u]
+    then runs allocation-free in two stages. First, [u] must contain every
+    heavy vertex (one subset test). Then components are grown one at a
+    time by a frontier BFS that stops as soon as one of them exceeds the
+    bound, or as soon as the edges not yet placed could no longer exceed
+    it. Agrees exactly with checking every component of
+    {!components_extended}. The staged closure owns mutable buffers: use
+    it from one domain, one call at a time. *)
 
 val components_extended :
   Hypergraph.t ->

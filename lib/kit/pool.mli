@@ -25,8 +25,9 @@
       domains. *)
 
 val default_jobs : unit -> int
-(** The [HB_JOBS] environment knob when it parses as a positive integer,
-    otherwise [Domain.recommended_domain_count ()]. *)
+(** {!Proc.default_jobs}: the [HB_JOBS] knob, or
+    [Domain.recommended_domain_count ()] when unset.
+    @raise Invalid_argument on a malformed value. *)
 
 val run_result : jobs:int -> ('a -> 'b) -> 'a array -> ('b, exn) result array
 (** Exceptions raised by a task are captured per-task as [Error] without

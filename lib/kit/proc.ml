@@ -66,9 +66,11 @@ let sigpipe_release () =
 let default_jobs () =
   match Sys.getenv_opt "HB_JOBS" with
   | Some v -> (
-      match int_of_string_opt v with
+      match int_of_string_opt (String.trim v) with
       | Some j when j >= 1 -> j
-      | Some _ | None -> Domain.recommended_domain_count ())
+      | Some _ | None ->
+          invalid_arg
+            (Printf.sprintf "HB_JOBS: expected an integer >= 1, got %S" v))
   | None -> Domain.recommended_domain_count ()
 
 let default_wall () =

@@ -78,9 +78,12 @@ val unregister_fork_fd : Unix.file_descr -> unit
     Thread-safe. *)
 
 val default_jobs : unit -> int
-(** The [HB_JOBS] environment knob when it parses as a positive integer,
-    otherwise [Domain.recommended_domain_count ()]. ({!Pool.default_jobs}
-    is this function — the knob is shared by both runners.) *)
+(** The [HB_JOBS] environment knob, or [Domain.recommended_domain_count ()]
+    when it is unset. This is the one parser of the knob:
+    {!Pool.default_jobs} and the HTTP server's default config call it.
+    @raise Invalid_argument naming [HB_JOBS] when the value is not an
+    integer or is below 1 — a typo must not silently change the pool
+    width. *)
 
 val default_wall : unit -> float
 (** The [HB_WALL] watchdog budget in seconds when it parses as a

@@ -32,11 +32,7 @@ let default_config () =
   {
     host = "127.0.0.1";
     port = env_int "HB_PORT" 8080;
-    jobs = (match Sys.getenv_opt "HB_JOBS" with
-        | Some v -> ( match int_of_string_opt (String.trim v) with
-            | Some n when n > 0 -> n
-            | _ -> 4)
-        | None -> 4);
+    jobs = Kit.Proc.default_jobs ();
     queue = env_int "HB_QUEUE" 64;
     rate;
     burst = Float.max rate 8.;

@@ -22,7 +22,7 @@
 type config = {
   host : string;  (** bind address, default ["127.0.0.1"] *)
   port : int;  (** [0] picks an ephemeral port — see {!port} *)
-  jobs : int;  (** worker threads, default [HB_JOBS] *)
+  jobs : int;  (** worker threads, default {!Kit.Proc.default_jobs} *)
   queue : int;  (** max connections awaiting a worker, default [HB_QUEUE] *)
   rate : float;  (** per-client req/s, [0.] = unlimited, default [HB_RATE] *)
   burst : float;  (** token-bucket burst, default [max rate 8] *)
@@ -41,7 +41,8 @@ type config = {
 val default_config : unit -> config
 (** Defaults above, with [HB_PORT] / [HB_JOBS] / [HB_QUEUE] / [HB_RATE] /
     [HB_MAX_BODY] / [HB_IDLE] / [HB_DRAIN] / [HB_READ_TIMEOUT] /
-    [HB_WRITE_TIMEOUT] read from the environment. *)
+    [HB_WRITE_TIMEOUT] read from the environment.
+    @raise Invalid_argument on a malformed [HB_JOBS]. *)
 
 val retry_after_estimate : queue_len:int -> rate:float -> int
 (** Honest queue-full [Retry-After]: seconds until [queue_len + 1]

@@ -49,12 +49,13 @@ let expand_array id dims =
   in
   go id dims
 
+let is_ident_char c =
+  (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9')
+  || c = '_'
+
 (* Tokens that look like variable references: name, name[i], name[i][j]. *)
 let scope_tokens text =
-  let is_token_char c =
-    (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9')
-    || c = '_' || c = '[' || c = ']'
-  in
+  let is_token_char c = is_ident_char c || c = '[' || c = ']' in
   let len = String.length text in
   let out = ref [] in
   let i = ref 0 in
@@ -218,7 +219,34 @@ let read_report src =
 let read_file path =
   match parse_file path with Error _ as e -> e | Ok inst -> to_hypergraph inst
 
+(* The reader only sees [A-Za-z0-9_] runs as variable references (see
+   [scope_tokens]; brackets belong to array cells), so any other name —
+   e.g. the dotted column names of SQL-derived hypergraphs — would vanish
+   from every scope. *)
+let is_identifier name = name <> "" && String.for_all is_ident_char name
+
+let identifiers h =
+  let names = h.Hg.Hypergraph.vertex_names in
+  let taken = Hashtbl.create (Array.length names) in
+  Array.iter (fun n -> if is_identifier n then Hashtbl.replace taken n ()) names;
+  let fresh base =
+    let rec go i =
+      let cand = Printf.sprintf "%s_%d" base i in
+      if Hashtbl.mem taken cand then go (i + 1) else cand
+    in
+    let id = if Hashtbl.mem taken base then go 1 else base in
+    Hashtbl.replace taken id ();
+    id
+  in
+  Array.map
+    (fun n ->
+      if is_identifier n then n
+      else if n = "" then fresh "v"
+      else fresh (String.map (fun c -> if is_ident_char c then c else '_') n))
+    names
+
 let to_xml ~name h =
+  let ids = identifiers h in
   let buf = Buffer.create 1024 in
   Buffer.add_string buf
     (Printf.sprintf "<instance id=\"%s\" format=\"XCSP3\" type=\"CSP\">\n  <variables>\n" name);
@@ -226,16 +254,13 @@ let to_xml ~name h =
     (fun v ->
       Buffer.add_string buf
         (Printf.sprintf "    <var id=\"%s\"> 0..1 </var>\n" v))
-    h.Hg.Hypergraph.vertex_names;
+    ids;
   Buffer.add_string buf "  </variables>\n  <constraints>\n";
-  Array.iteri
-    (fun i e ->
+  Array.iter
+    (fun e ->
       let scope =
-        Kit.Bitset.to_list e
-        |> List.map (Hg.Hypergraph.vertex_name h)
-        |> String.concat " "
+        Kit.Bitset.to_list e |> List.map (fun v -> ids.(v)) |> String.concat " "
       in
-      ignore i;
       Buffer.add_string buf
         (Printf.sprintf
            "    <extension>\n      <list> %s </list>\n      <supports> </supports>\n    </extension>\n"

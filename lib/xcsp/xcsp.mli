@@ -39,6 +39,15 @@ val read_report : string -> (Hg.Hypergraph.t, Kit.Diag.t list) result
 
 val read_file : string -> (Hg.Hypergraph.t, string) result
 
+val identifiers : Hg.Hypergraph.t -> string array
+(** The variable id {!to_xml} writes for each vertex. A name made only of
+    [[A-Za-z0-9_]] is kept as is; any other (the dotted column names of
+    SQL-derived hypergraphs, say) has each other character replaced by
+    ['_'] ([""] becomes ["v"]), plus a ["_<n>"] suffix when that id is
+    already taken, so distinct vertices keep distinct ids. *)
+
 val to_xml : name:string -> Hg.Hypergraph.t -> string
 (** Render a hypergraph as an XCSP-style instance with one extensional
-    constraint per edge. *)
+    constraint per edge, naming variables by {!identifiers}. [read]
+    gives back the same hypergraph up to that renaming — exactly the
+    same one when every vertex name is already an identifier. *)

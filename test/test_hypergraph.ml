@@ -181,6 +181,62 @@ let balanced_separator () =
     "end is not balanced" false
     (C.is_balanced h ~within:(H.all_edges h) ~special:[||] (Bitset.of_list 5 [ 0 ]))
 
+(* The staged, early-exit [is_balanced] (heavy-vertex prefilter, then a
+   BFS that stops at the first oversized component) against the
+   definition: every component of [components_extended] within half the
+   total. One staged checker is reused across all bags of a case, so
+   stale scratch state between separators would show up here too. *)
+let balanced_differential () =
+  let rng = Kit.Rng.create 2019 in
+  let random_set n p = List.filter (fun _ -> Kit.Rng.int rng 100 < p) (List.init n Fun.id) in
+  for case = 1 to 400 do
+    let nv = 1 + Kit.Rng.int rng 12 in
+    let ne = 1 + Kit.Rng.int rng 14 in
+    let h =
+      H.of_int_edges
+        (List.init ne (fun _ ->
+             Kit.Rng.int rng nv
+             :: List.init (Kit.Rng.int rng 4) (fun _ -> Kit.Rng.int rng nv)))
+    in
+    let nv = h.H.n_vertices in
+    let within = Bitset.of_list ne (random_set ne (30 + Kit.Rng.int rng 71)) in
+    let special =
+      Array.init (Kit.Rng.int rng 4) (fun _ ->
+          Bitset.of_list nv (Kit.Rng.int rng nv :: random_set nv 25))
+    in
+    let bound = (Bitset.cardinal within + Array.length special) / 2 in
+    let reference u =
+      List.for_all
+        (fun (es, sps) -> Bitset.cardinal es + List.length sps <= bound)
+        (C.components_extended h ~within ~special u)
+    in
+    let heavy = C.heavy_vertices h ~within ~special in
+    let staged = C.is_balanced h ~within ~special in
+    let edge_union () =
+      List.fold_left
+        (fun acc e -> Bitset.union acc (H.edge h e))
+        (Bitset.empty nv)
+        (random_set ne 20)
+    in
+    let bags =
+      [ Bitset.empty nv; Bitset.full nv; edge_union (); edge_union () ]
+      @ List.init 4 (fun _ -> Bitset.of_list nv (random_set nv (Kit.Rng.int rng 101)))
+    in
+    List.iteri
+      (fun i u ->
+        let expect = reference u in
+        let what = Printf.sprintf "case %d bag %d" case i in
+        Alcotest.(check bool) (what ^ ": staged") expect (staged u);
+        Alcotest.(check bool)
+          (what ^ ": one-shot") expect
+          (C.is_balanced h ~within ~special u);
+        if expect then
+          Alcotest.(check bool)
+            (what ^ ": prefilter keeps a balanced bag")
+            true (Bitset.subset heavy u))
+      bags
+  done
+
 let connected_check () =
   Alcotest.(check bool) "triangle connected" true (C.connected triangle);
   let h = H.of_int_edges [ [ 0; 1 ]; [ 2; 3 ] ] in
@@ -291,6 +347,7 @@ let () =
           Alcotest.test_case "special glue" `Quick components_extended_special;
           Alcotest.test_case "special separated" `Quick components_extended_separated;
           Alcotest.test_case "balanced" `Quick balanced_separator;
+          Alcotest.test_case "balanced = definition" `Quick balanced_differential;
           Alcotest.test_case "connected" `Quick connected_check;
         ] );
       ( "properties",

@@ -181,6 +181,29 @@ let scratch_arena () =
   let u = Bitset.Scratch.borrow arena 40 in
   Alcotest.(check bool) "LIFO reuse" true (u == s')
 
+(* BalSep stages one balance checker per recursion node and applies it to
+   every separator tried there: the application must not allocate. *)
+let staged_is_balanced_allocation_free () =
+  let rng = Rng.create 7 in
+  let medium =
+    Gen.Random_csp.random rng ~n_variables:30 ~n_constraints:45 ~max_arity:4
+  in
+  let nv = medium.H.n_vertices in
+  let special = [| Bitset.of_list nv [ 3; 4 ] |] in
+  let check =
+    Hg.Components.is_balanced medium ~within:(H.all_edges medium) ~special
+  in
+  let bags = Array.init 8 (fun i -> Bitset.of_list nv [ i; i + 7; i + 13 ]) in
+  Array.iter (fun u -> ignore (Sys.opaque_identity (check u))) bags;
+  let w0 = Gc.minor_words () in
+  for i = 1 to 1000 do
+    ignore (Sys.opaque_identity (check bags.(i land 7)))
+  done;
+  let words = Gc.minor_words () -. w0 in
+  if words >= 1000. then
+    Alcotest.failf "staged is_balanced allocated %.0f words over 1000 calls"
+      words
+
 (* --- pinned search counters ---------------------------------------------- *)
 
 (* The fixed workloads and their counter totals as measured before the
@@ -254,6 +277,30 @@ let pinned_counters_at jobs () =
             (Printf.sprintf "%s at jobs=%d" name jobs)
             expect (Metrics.get snap name))
         pinned_totals)
+
+(* Fuel left after a fuel-limited BalSep run, as measured before the
+   cheap separator rejection (degree prefilter + early-exit balance
+   test). Rejecting faster must not change how the search spends fuel:
+   every tried separator still polls the deadline exactly once. *)
+let pinned_balsep_fuel () =
+  let medium, grid, fano = instances () in
+  List.iter
+    (fun (name, h, k, expect) ->
+      let deadline = Kit.Deadline.of_fuel 100_000 in
+      let a = Ghd.Bal_sep.solve ~deadline h ~k in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s k=%d decided" name k)
+        true
+        (a.Ghd.Bal_sep.outcome <> Detk.Timeout);
+      Alcotest.(check (option int))
+        (Printf.sprintf "%s k=%d fuel left" name k)
+        (Some expect)
+        (Kit.Deadline.fuel_remaining deadline))
+    [
+      ("fano", fano, 2, 99_245);
+      ("grid", grid, 2, 99_931);
+      ("medium", medium, 2, 68_259);
+    ]
 
 (* --- sweep cache ---------------------------------------------------------- *)
 
@@ -347,11 +394,14 @@ let () =
           Alcotest.test_case "union_indexed_into" `Quick union_indexed;
           Alcotest.test_case "universe mismatch" `Quick universe_mismatch;
           Alcotest.test_case "scratch arena" `Quick scratch_arena;
+          Alcotest.test_case "staged is_balanced allocation-free" `Quick
+            staged_is_balanced_allocation_free;
         ] );
       ( "pinned counters",
         [
           Alcotest.test_case "jobs=1" `Quick (pinned_counters_at 1);
           Alcotest.test_case "jobs=4" `Quick (pinned_counters_at 4);
+          Alcotest.test_case "balsep fuel left" `Quick pinned_balsep_fuel;
         ] );
       ( "sweep cache",
         [

@@ -904,6 +904,66 @@ let expired_deadline_504 () =
       in
       Alcotest.(check int) "live deadline solves" 200 ok.Serve.Client.status)
 
+(* --- HB_JOBS: one parser, loud on malformed values ---------------------- *)
+
+let malformed_hb_jobs () =
+  let saved = Sys.getenv_opt "HB_JOBS" in
+  Fun.protect
+    ~finally:(fun () ->
+      (* No unsetenv: an unset knob means the recommended count, so put
+         that back when there was nothing to restore. *)
+      Unix.putenv "HB_JOBS"
+        (match saved with
+        | Some v -> v
+        | None -> string_of_int (Domain.recommended_domain_count ())))
+    (fun () ->
+      List.iter
+        (fun v ->
+          Unix.putenv "HB_JOBS" v;
+          let names_knob what f =
+            match f () with
+            | _ -> Alcotest.failf "HB_JOBS=%s: %s accepted it" v what
+            | exception Invalid_argument m ->
+                Alcotest.(check bool)
+                  (Printf.sprintf "HB_JOBS=%s: %s names the knob" v what)
+                  true
+                  (String.length m >= 7 && String.sub m 0 7 = "HB_JOBS")
+          in
+          names_knob "Kit.Proc.default_jobs" (fun () ->
+              ignore (Kit.Proc.default_jobs ()));
+          names_knob "Serve.Server.default_config" (fun () ->
+              ignore (Serve.Server.default_config ()));
+          let err_rd, err_wr = Unix.pipe () in
+          let pid =
+            Unix.create_process exe [| exe; "serve"; "--port"; "0" |]
+              Unix.stdin Unix.stdout err_wr
+          in
+          Unix.close err_wr;
+          (* A daemon that accepted the value would keep running: give it
+             10 s to fail, then kill it. *)
+          (match Unix.select [ err_rd ] [] [] 10.0 with
+          | [], _, _ ->
+              Unix.kill pid Sys.sigkill;
+              ignore (Unix.waitpid [] pid);
+              Unix.close err_rd;
+              Alcotest.failf "HB_JOBS=%s: serve started anyway" v
+          | _ -> ());
+          let ic = Unix.in_channel_of_descr err_rd in
+          let line = try input_line ic with End_of_file -> "" in
+          close_in ic;
+          (match Unix.waitpid [] pid with
+          | _, Unix.WEXITED 1 -> ()
+          | _ -> Alcotest.failf "HB_JOBS=%s: serve did not exit 1" v);
+          Alcotest.(check string)
+            (Printf.sprintf "HB_JOBS=%s: serve diagnostic" v)
+            (Printf.sprintf
+               "hyperbench: HB_JOBS: expected an integer >= 1, got %S" v)
+            line)
+        [ "abc"; "0" ];
+      Unix.putenv "HB_JOBS" "3";
+      Alcotest.(check int) "server takes a valid HB_JOBS" 3
+        (Serve.Server.default_config ()).Serve.Server.jobs)
+
 let () =
   Alcotest.run "serve"
     [
@@ -958,5 +1018,7 @@ let () =
             request_retry_survives_torn;
           Alcotest.test_case "expired client deadline answers 504" `Quick
             expired_deadline_504;
+          Alcotest.test_case "malformed HB_JOBS is an error" `Quick
+            malformed_hb_jobs;
         ] );
     ]

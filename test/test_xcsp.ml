@@ -243,6 +243,46 @@ let roundtrip () =
           (H.equal_structure h h')
   done
 
+let identifier_mapping () =
+  let h =
+    H.of_named_edges [ ("r", [ "a.b"; "a_b"; "x" ]); ("s", [ "a-b"; "x" ]) ]
+  in
+  Alcotest.(check (array string))
+    "valid names kept, others mapped apart"
+    [| "a_b_1"; "a_b"; "x"; "a_b_2" |]
+    (Xcsp3.Xcsp.identifiers h)
+
+(* Every instance of the default repository survives to_xml |> read.
+   SQL-derived ones have dotted column names ("p.p_partkey"), which the
+   writer maps to identifiers: their fingerprint is compared after the
+   same renaming; every other instance must come back unchanged. *)
+let roundtrip_repository () =
+  let renamed = ref 0 in
+  List.iter
+    (fun (i : Benchlib.Instance.t) ->
+      let h = i.hg in
+      let ids = Xcsp3.Xcsp.identifiers h in
+      Alcotest.(check int)
+        (i.name ^ ": ids distinct")
+        (Array.length ids)
+        (List.length (List.sort_uniq compare (Array.to_list ids)));
+      let expect =
+        if ids = h.H.vertex_names then h
+        else begin
+          incr renamed;
+          H.create ~vertex_names:ids ~edge_names:h.H.edge_names
+            (Array.map Kit.Bitset.to_list h.H.edges)
+        end
+      in
+      match Xcsp3.Xcsp.read (Xcsp3.Xcsp.to_xml ~name:i.name h) with
+      | Error m -> Alcotest.failf "%s: %s" i.name m
+      | Ok h' ->
+          Alcotest.(check string)
+            (i.name ^ ": fingerprint")
+            (H.fingerprint expect) (H.fingerprint h'))
+    (Benchlib.Repository.build ());
+  Alcotest.(check bool) "some names needed mapping" true (!renamed > 0)
+
 let () =
   Alcotest.run "xcsp"
     [
@@ -268,5 +308,8 @@ let () =
           Alcotest.test_case "errors" `Quick xcsp_errors;
           Alcotest.test_case "array size bomb" `Quick xcsp_array_size_bomb;
           Alcotest.test_case "roundtrip" `Quick roundtrip;
+          Alcotest.test_case "identifier mapping" `Quick identifier_mapping;
+          Alcotest.test_case "roundtrip default repository" `Quick
+            roundtrip_repository;
         ] );
     ]
