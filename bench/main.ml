@@ -19,6 +19,9 @@
      HB_WALL    watchdog budget in seconds under HB_ISOLATE (default 3600)
      HB_FAULT   fault-injection spec (see Kit.Fault), e.g.
                 crash@instance.cq-rand-002:1 or hang@instance.cq-rand-002:1
+     HB_CACHE   content-addressed result-cache directory for campaigns
+                (unset = no cache); the [repo] artefact uses its own
+                scratch cache regardless
 
    HB_JOBS spreads the per-instance analysis over a fixed-size domain
    pool; results are collected in instance order, so tables and row
@@ -28,35 +31,54 @@
    deterministic budget that makes every verdict and count bit-identical
    at every HB_JOBS value.
 
-   Perf-harness knobs (the [perf] artefact):
-     HB_PERF_ITERS  iterations per micro-kernel      (default 10000)
-     HB_PERF_CHECK  path to an allocs/op threshold file; kernels whose
-                    minor-words/op exceed their committed threshold make
-                    the run exit 7 (the CI perf-smoke gate)
+   Leg knobs:
+     HB_PERF_ITERS    iterations per [perf] micro-kernel (default 10000)
+     HB_INTRA_BUDGET  per-run wall budget of [intra], seconds (default 10)
+     HB_GATE          gate file (bench/gates.txt): one "<leg>.<metric> <= v" or
+                      ">= v" bound per line for the perf, serve and intra
+                      legs; each leg checks only its own lines
 
-     HB_CACHE   content-addressed result-cache directory for campaigns
-                (unset = no cache); the [repo] artefact uses its own
-                scratch cache regardless
-
-   Intra-parallelism knobs (the [intra] artefact, explicit only):
-     HB_INTRA_BUDGET  per-run wall budget in seconds    (default 10)
-     HB_INTRA_CHECK   path to a speedup/overhead threshold file; a
-                      failed gate (or any seq/par verdict disagreement)
-                      makes the run exit 9 (the CI intra-smoke gate)
+   A malformed knob exits 1 naming it. Any gate violation exits 7: a
+   missed HB_GATE bound, a gate line naming a metric its leg does not
+   produce, the repo leg's cache re-run check, a chaos violation, or an
+   intra seq/par verdict disagreement. Failures to set a leg up keep
+   their own codes (6 for the repository, campaign and serve warm-up).
 
    Usage: main.exe [table1|table2|table3|table4|table5|table6|
                     figure3|figure4|figure5|ablation|micro|perf|repo|
-                    serve|chaos|fuzz|intra]... *)
+                    serve|chaos|intra]... *)
 
-let env_float name default =
+let knob name parse what default =
   match Sys.getenv_opt name with
-  | Some v -> ( match float_of_string_opt v with Some f -> f | None -> default)
   | None -> default
+  | Some v -> (
+      match parse (String.trim v) with
+      | Some x -> x
+      | None ->
+          Printf.eprintf "bench: %s: expected %s, got %S\n%!" name what v;
+          exit 1)
 
-let env_int name default =
-  match Sys.getenv_opt name with
-  | Some v -> ( match int_of_string_opt v with Some i -> i | None -> default)
-  | None -> default
+let env_float name default = knob name float_of_string_opt "a number" default
+let env_int name default = knob name int_of_string_opt "an integer" default
+
+let enforce ~leg violations =
+  if violations <> [] then begin
+    List.iter (Printf.eprintf "%s gate: %s\n" leg) violations;
+    Printf.eprintf "%s: %d gate violation(s)\n%!" leg (List.length violations);
+    exit 7
+  end
+
+let write_report path contents =
+  Benchlib.Fsio.write_atomic path contents;
+  Printf.printf "Wrote %s\n" path
+
+let rec rm_rf path =
+  if Sys.file_exists path then
+    if Sys.is_directory path then begin
+      Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
+      Sys.rmdir path
+    end
+    else Sys.remove path
 
 (* --- Bechamel micro-benchmarks ------------------------------------------------ *)
 
@@ -118,7 +140,7 @@ let micro () =
    idiom), reporting both ns/op and minor-heap words/op, and writes
    BENCH_perf.json. Unlike the bechamel micro benches, allocation rates are
    iteration-count-independent, so the JSON is comparable across machines
-   and suitable as a CI regression gate (HB_PERF_CHECK). *)
+   and suitable as a CI regression gate (the perf.*.words lines of HB_GATE). *)
 
 module Perf = struct
   module B = Kit.Bitset
@@ -304,41 +326,7 @@ module Perf = struct
                   instances) );
          ])
 
-  (* Threshold file: one "<op> <max minor words per op>" per line
-     ('#' comments). Allocation rates are deterministic per build, so this
-     is a stable, machine-independent regression gate. *)
-  let check_thresholds path rows =
-    let ic = open_in path in
-    let thresholds = ref [] in
-    (try
-       while true do
-         let line = String.trim (input_line ic) in
-         if line <> "" && line.[0] <> '#' then
-           match String.split_on_char ' ' line |> List.filter (( <> ) "") with
-           | [ op; limit ] -> thresholds := (op, float_of_string limit) :: !thresholds
-           | _ -> failwith (Printf.sprintf "bad threshold line: %S" line)
-       done
-     with End_of_file -> close_in ic);
-    let failures =
-      List.filter_map
-        (fun (op, limit) ->
-          match List.find_opt (fun r -> r.op = op) rows with
-          | None -> Some (Printf.sprintf "threshold for unknown op %S" op)
-          | Some r when r.words > limit ->
-              Some
-                (Printf.sprintf "%s: %.1f minor words/op exceeds threshold %.1f"
-                   op r.words limit)
-          | Some _ -> None)
-        !thresholds
-    in
-    if failures <> [] then begin
-      List.iter (Printf.eprintf "perf regression: %s\n") failures;
-      Printf.eprintf "perf: %d kernel(s) over their allocs/op threshold\n%!"
-        (List.length failures);
-      exit 7
-    end
-
-  let main () =
+  let main ~gates () =
     let iters = env_int "HB_PERF_ITERS" 10_000 in
     let rows, instances = run ~iters in
     Printf.printf "Kernel perf (%d iters; baseline = immutable-API reference):\n" iters;
@@ -360,15 +348,10 @@ module Perf = struct
            else Printf.sprintf ">=%d?" (-hw))
           ms)
       instances;
-    let path = "BENCH_perf.json" in
-    let oc = open_out path in
-    Fun.protect
-      ~finally:(fun () -> close_out_noerr oc)
-      (fun () -> output_string oc (render_json ~iters rows instances));
-    Printf.printf "Wrote %s\n" path;
-    match Sys.getenv_opt "HB_PERF_CHECK" with
-    | Some p when p <> "" -> check_thresholds p rows
-    | Some _ | None -> ()
+    write_report "BENCH_perf.json" (render_json ~iters rows instances);
+    enforce ~leg:"perf"
+      (Benchlib.Gate.check gates ~leg:"perf"
+         (List.map (fun r -> (r.op ^ ".words", [ r.words ])) rows))
 end
 
 (* --- repo: persistence formats and result cache ------------------------------ *)
@@ -381,14 +364,6 @@ end
    convention as the resilience tests). Fuel-budgeted, so every number
    except the wall-clock rates is machine-independent. *)
 module Repo_bench = struct
-  let rec rm_rf path =
-    if Sys.file_exists path then
-      if Sys.is_directory path then begin
-        Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
-        Sys.rmdir path
-      end
-      else Sys.remove path
-
   let rec dir_bytes path =
     if Sys.is_directory path then
       Array.fold_left
@@ -422,9 +397,6 @@ module Repo_bench = struct
       end
     done;
     Buffer.contents buf
-
-  let counter snap name =
-    Option.value (List.assoc_opt name snap.Kit.Metrics.counters) ~default:0
 
   let timed_rate ~n ~iters f =
     let t0 = Unix.gettimeofday () in
@@ -494,7 +466,7 @@ module Repo_bench = struct
     let second = run_campaign () in
     let after = Kit.Metrics.snapshot () in
     Kit.Metrics.enabled := false;
-    let delta a b name = counter b name - counter a name in
+    let delta a b name = Kit.Metrics.get b name - Kit.Metrics.get a name in
     let hits = delta mid after "cache.hit" in
     let misses = delta mid after "cache.miss" in
     let invalid = delta mid after "cache.invalid" in
@@ -541,39 +513,89 @@ module Repo_bench = struct
              ("tables_identical", Bool identical);
            ])
     in
-    let path = "BENCH_repo.json" in
-    let oc = open_out path in
-    Fun.protect
-      ~finally:(fun () -> close_out_noerr oc)
-      (fun () -> output_string oc json);
-    Printf.printf "Wrote %s\n" path;
+    write_report "BENCH_repo.json" json;
     List.iter rm_rf [ text_dir; pack_dir; cache_dir ];
     (* The re-run of a cached campaign must actually hit the cache and
        reproduce the tables; failing that is a regression, not a datum. *)
-    if hits = 0 || not identical then begin
-      Printf.eprintf "repo bench: cache re-run failed (hits=%d identical=%b)\n%!"
-        hits identical;
-      exit 6
-    end
+    enforce ~leg:"repo"
+      (if hits > 0 && identical then []
+       else
+         [ Printf.sprintf "cache re-run failed (hits=%d identical=%b)" hits
+             identical ])
 end
+
+(* --- serve: in-process daemon fixture ---------------------------------------- *)
+
+(* The serve and chaos legs each run a hyperbenchd inside this process:
+   [service] builds the leg's Service over a fresh temp result cache,
+   [config] gives its server settings, and the fixture pins an
+   ephemeral port, [max 2 HB_JOBS] workers and no rate limit. [f ~port
+   ~stop] runs the leg; [stop] drains and joins the server (the fixture
+   calls it too, then removes the cache). *)
+let with_daemon ~name ~service ~config f =
+  let cache_dir =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "hb_%s_%d" name (Unix.getpid ()))
+  in
+  rm_rf cache_dir;
+  Unix.mkdir cache_dir 0o755;
+  let svc = service (Benchlib.Result_cache.create ~dir:cache_dir) in
+  let cfg =
+    {
+      config with
+      Serve.Server.port = 0;
+      jobs = max 2 (Kit.Proc.default_jobs ());
+      rate = 0.;
+    }
+  in
+  let srv = Serve.Server.create cfg (Benchlib.Service.handler svc) in
+  let th = Thread.create Serve.Server.serve srv in
+  let stopped = ref false in
+  let stop () =
+    if not !stopped then begin
+      stopped := true;
+      Serve.Server.stop srv;
+      Thread.join th
+    end
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      stop ();
+      rm_rf cache_dir)
+    (fun () -> f ~port:(Serve.Server.port srv) ~stop)
+
+let host = "127.0.0.1"
+let headers = [ ("Content-Type", "application/x-hyperbench") ]
+
+let daemon_fuel () =
+  let f = env_int "HB_FUEL" 0 in
+  if f > 0 then f else 50_000
+
+(* The triangle plus generated CSP hypergraphs of the given sizes:
+   enough shape variety to mix cache hits, parses and real solves. *)
+let daemon_corpus ~seed sizes =
+  let rng = Kit.Rng.create seed in
+  Array.of_list
+    ("e1(a,b),e2(b,c),e3(c,a)."
+    :: List.map
+         (fun (nv, nc) ->
+           Hg.Hypergraph.to_string
+             (Gen.Random_csp.random rng ~n_variables:nv ~n_constraints:nc
+                ~max_arity:3))
+         sizes)
 
 (* --- serve: daemon load bench ------------------------------------------------ *)
 
-(* Closed-loop load against a warmed in-process hyperbenchd: HB_SERVE_CLIENTS
-   keep-alive clients each issue HB_SERVE_REQS requests cycling a small
-   fuel-budgeted corpus. Reports p50/p99 latency, throughput and error
-   count into BENCH_serve.json; HB_PERF_CHECK names a threshold file
-   ("max_errors N" / "min_rps R" / "max_p99_ms M" lines) that turns a
-   regression into exit 7 — the CI serve-gate. Latencies are wall-clock
-   and machine-dependent; the verdicts inside the responses are not
-   (fuel budget), so errors are a hard signal. *)
+(* Closed-loop load against a warmed in-process hyperbenchd: 8 keep-alive
+   clients each issue 50 requests cycling a small fuel-budgeted corpus.
+   Reports p50/p99 latency, throughput and error count into
+   BENCH_serve.json; the serve.* lines of HB_GATE (errors, rps, p99_ms)
+   gate it. Latencies are wall-clock and machine-dependent; the verdicts
+   inside the responses are not (fuel budget), so errors are a hard
+   signal. *)
 module Serve_bench = struct
-  let rec rm_rf path =
-    if Sys.is_directory path then begin
-      Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
-      Sys.rmdir path
-    end
-    else Sys.remove path
+  let clients = 8
+  let reqs = 50
 
   let percentile sorted p =
     let n = Array.length sorted in
@@ -583,68 +605,15 @@ module Serve_bench = struct
                 (min (n - 1)
                    (int_of_float ((p /. 100. *. float_of_int (n - 1)) +. 0.5))))
 
-  let check_thresholds path ~errors ~rps ~p99 =
-    let ic = open_in path in
-    let rules = ref [] in
-    (try
-       while true do
-         let line = String.trim (input_line ic) in
-         if line <> "" && line.[0] <> '#' then
-           match String.split_on_char ' ' line |> List.filter (( <> ) "") with
-           | [ key; limit ] -> rules := (key, float_of_string limit) :: !rules
-           | _ -> failwith (Printf.sprintf "bad threshold line: %S" line)
-       done
-     with End_of_file -> close_in ic);
-    let failures =
-      List.filter_map
-        (fun (key, limit) ->
-          let fail fmt = Some (Printf.sprintf fmt limit) in
-          match key with
-          | "max_errors" when float_of_int errors > limit ->
-              fail "errors above max_errors %.0f"
-          | "min_rps" when rps < limit -> fail "throughput below min_rps %.0f"
-          | "max_p99_ms" when p99 > limit -> fail "p99 above max_p99_ms %.0f"
-          | "max_errors" | "min_rps" | "max_p99_ms" -> None
-          | k -> Some (Printf.sprintf "unknown serve threshold %S" k))
-        !rules
-    in
-    if failures <> [] then begin
-      List.iter (Printf.eprintf "serve regression: %s\n") failures;
-      Printf.eprintf "serve: %d threshold(s) violated (errors=%d rps=%.1f p99=%.1fms)\n%!"
-        (List.length failures) errors rps p99;
-      exit 7
-    end
-
-  let main ~seed () =
+  let main ~seed ~gates () =
     Kit.Metrics.enabled := true;
-    let clients = max 1 (env_int "HB_SERVE_CLIENTS" 8) in
-    let reqs = max 1 (env_int "HB_SERVE_REQS" 50) in
-    let fuel =
-      let f = env_int "HB_FUEL" 0 in
-      if f > 0 then f else 50_000
+    let fuel = daemon_fuel () in
+    let corpus_arr =
+      daemon_corpus ~seed [ (8, 10); (12, 16); (16, 22); (20, 28) ]
     in
-    (* Small corpus of generated CSP hypergraphs (plus the triangle):
-       enough shape variety to mix cache hits, parses and real solves. *)
-    let rng = Kit.Rng.create seed in
-    let corpus =
-      "e1(a,b),e2(b,c),e3(c,a)."
-      :: List.map
-           (fun (nv, nc) ->
-             Hg.Hypergraph.to_string
-               (Gen.Random_csp.random rng ~n_variables:nv ~n_constraints:nc
-                  ~max_arity:3))
-           [ (8, 10); (12, 16); (16, 22); (20, 28) ]
-    in
-    let cache_dir =
-      Filename.concat (Filename.get_temp_dir_name ())
-        (Printf.sprintf "hb_serve_bench_%d" (Unix.getpid ()))
-    in
-    if Sys.file_exists cache_dir then rm_rf cache_dir;
-    Unix.mkdir cache_dir 0o755;
-    let svc =
+    let service cache =
       {
-        Benchlib.Service.cache =
-          Some (Benchlib.Result_cache.create ~dir:cache_dir);
+        Benchlib.Service.cache = Some cache;
         isolate = false;
         mem_mb = None;
         default_timeout = 10.0;
@@ -653,112 +622,95 @@ module Serve_bench = struct
         supervisor = Serve.Supervisor.create ();
       }
     in
-    let cfg =
-      {
-        (Serve.Server.default_config ()) with
-        Serve.Server.port = 0;
-        jobs = max 2 (env_int "HB_JOBS" 4);
-        queue = 256;
-        rate = 0.;
-      }
+    let config =
+      { (Serve.Server.default_config ()) with Serve.Server.queue = 256 }
     in
-    let srv = Serve.Server.create cfg (Benchlib.Service.handler svc) in
-    let th = Thread.create (fun () -> Serve.Server.serve srv) () in
-    let port = Serve.Server.port srv in
-    let host = "127.0.0.1" in
     let target = Printf.sprintf "/decompose?k=3&fuel=%d" fuel in
-    let headers = [ ("Content-Type", "application/x-hyperbench") ] in
     let do_one conn body =
       match Serve.Client.request conn ~headers ~body "POST" target with
       | Ok r when r.Serve.Client.status = 200 -> true
       | Ok _ | Error _ -> false
     in
-    Fun.protect
-      ~finally:(fun () ->
-        Serve.Server.stop srv;
-        Thread.join th;
-        rm_rf cache_dir)
-      (fun () ->
-        (* warm: every corpus entry solved once, cache filled *)
-        let wc = Serve.Client.connect ~host ~port () in
-        let warm_ok = List.for_all (do_one wc) corpus in
-        Serve.Client.close wc;
-        if not warm_ok then begin
-          Printf.eprintf "serve bench: warmup request failed\n%!";
-          exit 6
-        end;
-        let hits_before =
-          Kit.Metrics.get (Kit.Metrics.snapshot ()) "cache.hit"
-        in
-        let corpus_arr = Array.of_list corpus in
-        let errors = Atomic.make 0 in
-        let lat = Array.init clients (fun _ -> Array.make reqs 0.0) in
-        let t0 = Unix.gettimeofday () in
-        let threads =
-          List.init clients (fun ci ->
-              Thread.create
-                (fun () ->
-                  let conn = Serve.Client.connect ~host ~port () in
-                  Fun.protect
-                    ~finally:(fun () -> Serve.Client.close conn)
-                    (fun () ->
-                      for i = 0 to reqs - 1 do
-                        let body =
-                          corpus_arr.((ci + i) mod Array.length corpus_arr)
-                        in
-                        let r0 = Unix.gettimeofday () in
-                        if not (do_one conn body) then
-                          Atomic.incr errors;
-                        lat.(ci).(i) <- (Unix.gettimeofday () -. r0) *. 1000.
-                      done))
-                ())
-        in
-        List.iter Thread.join threads;
-        let latencies = Array.concat (Array.to_list lat) in
-        let wall = Unix.gettimeofday () -. t0 in
-        Array.sort compare latencies;
-        let total = clients * reqs in
-        let errors = Atomic.get errors in
-        let rps = float_of_int total /. Float.max wall 1e-9 in
-        let p50 = percentile latencies 50. in
-        let p99 = percentile latencies 99. in
-        let hits =
-          Kit.Metrics.get (Kit.Metrics.snapshot ()) "cache.hit" - hits_before
-        in
-        Printf.printf
-          "serve: %d clients x %d reqs  %.1f req/s  p50 %.2f ms  p99 %.2f ms  \
-           errors %d  cache hits %d\n"
-          clients reqs rps p50 p99 errors hits;
-        let json =
-          Kit.Json.(
-            to_string
-              (Obj
-                 [
-                   ("schema", String "hyperbench-serve/1");
-                   ("clients", Int clients);
-                   ("requests_per_client", Int reqs);
-                   ("total_requests", Int total);
-                   ("fuel", Int fuel);
-                   ("corpus", Int (Array.length corpus_arr));
-                   ("wall_seconds", Float wall);
-                   ("requests_per_sec", Float rps);
-                   ("p50_ms", Float p50);
-                   ("p99_ms", Float p99);
-                   ("errors", Int errors);
-                   ("cache_hits", Int hits);
-                 ]))
-        in
-        let path = "BENCH_serve.json" in
-        let oc = open_out path in
-        Fun.protect
-          ~finally:(fun () -> close_out_noerr oc)
-          (fun () -> output_string oc json);
-        Printf.printf "Wrote %s\n" path;
-        (* any transport or HTTP failure under plain load is a bug, not
-           load shedding: the queue above is deeper than clients *)
-        match Sys.getenv_opt "HB_PERF_CHECK" with
-        | Some p when p <> "" -> check_thresholds p ~errors ~rps ~p99
-        | Some _ | None -> ())
+    let errors, rps, p99 =
+      with_daemon ~name:"serve_bench" ~service ~config (fun ~port ~stop:_ ->
+          (* warm: every corpus entry solved once, cache filled *)
+          let wc = Serve.Client.connect ~host ~port () in
+          let warm_ok = Array.for_all (do_one wc) corpus_arr in
+          Serve.Client.close wc;
+          if not warm_ok then begin
+            Printf.eprintf "serve bench: warmup request failed\n%!";
+            exit 6
+          end;
+          let hits_before =
+            Kit.Metrics.get (Kit.Metrics.snapshot ()) "cache.hit"
+          in
+          let errors = Atomic.make 0 in
+          let lat = Array.init clients (fun _ -> Array.make reqs 0.0) in
+          let t0 = Unix.gettimeofday () in
+          let threads =
+            List.init clients (fun ci ->
+                Thread.create
+                  (fun () ->
+                    let conn = Serve.Client.connect ~host ~port () in
+                    Fun.protect
+                      ~finally:(fun () -> Serve.Client.close conn)
+                      (fun () ->
+                        for i = 0 to reqs - 1 do
+                          let body =
+                            corpus_arr.((ci + i) mod Array.length corpus_arr)
+                          in
+                          let r0 = Unix.gettimeofday () in
+                          if not (do_one conn body) then
+                            Atomic.incr errors;
+                          lat.(ci).(i) <- (Unix.gettimeofday () -. r0) *. 1000.
+                        done))
+                  ())
+          in
+          List.iter Thread.join threads;
+          let latencies = Array.concat (Array.to_list lat) in
+          let wall = Unix.gettimeofday () -. t0 in
+          Array.sort compare latencies;
+          let total = clients * reqs in
+          let errors = Atomic.get errors in
+          let rps = float_of_int total /. Float.max wall 1e-9 in
+          let p50 = percentile latencies 50. in
+          let p99 = percentile latencies 99. in
+          let hits =
+            Kit.Metrics.get (Kit.Metrics.snapshot ()) "cache.hit" - hits_before
+          in
+          Printf.printf
+            "serve: %d clients x %d reqs  %.1f req/s  p50 %.2f ms  p99 %.2f ms  \
+             errors %d  cache hits %d\n"
+            clients reqs rps p50 p99 errors hits;
+          write_report "BENCH_serve.json"
+            Kit.Json.(
+              to_string
+                (Obj
+                   [
+                     ("schema", String "hyperbench-serve/1");
+                     ("clients", Int clients);
+                     ("requests_per_client", Int reqs);
+                     ("total_requests", Int total);
+                     ("fuel", Int fuel);
+                     ("corpus", Int (Array.length corpus_arr));
+                     ("wall_seconds", Float wall);
+                     ("requests_per_sec", Float rps);
+                     ("p50_ms", Float p50);
+                     ("p99_ms", Float p99);
+                     ("errors", Int errors);
+                     ("cache_hits", Int hits);
+                   ]));
+          (errors, rps, p99))
+    in
+    (* any transport or HTTP failure under plain load is a bug, not load
+       shedding: the queue above is deeper than clients *)
+    enforce ~leg:"serve"
+      (Benchlib.Gate.check gates ~leg:"serve"
+         [
+           ("errors", [ float_of_int errors ]);
+           ("rps", [ rps ]);
+           ("p99_ms", [ p99 ]);
+         ])
 end
 
 (* --- serve: chaos soak ------------------------------------------------------- *)
@@ -772,8 +724,9 @@ end
    Retry-After), a fault-free replay of every 200 returns a
    byte-identical body (fuel budgets make solves deterministic), the
    breaker/restart counters actually moved, no fds or zombies leaked,
-   and the drain join stayed bounded. Violations exit 7 — the CI
-   chaos-gate. *)
+   and the drain join stayed bounded. These assertions live here, not in
+   HB_GATE, so no data line can switch them off; any violation exits 7
+   (the CI chaos-gate). *)
 module Serve_chaos = struct
   let default_spec =
     "stall@serve.read:p0.05:s7;reset@serve.read:p0.03:s8;\
@@ -784,14 +737,12 @@ module Serve_chaos = struct
       Some (Array.length (Sys.readdir "/proc/self/fd"))
     else None
 
+  let clients = 4
+  let reqs = 25
+
   let main ~seed () =
     Kit.Metrics.enabled := true;
-    let clients = max 1 (env_int "HB_CHAOS_CLIENTS" 4) in
-    let reqs = max 1 (env_int "HB_CHAOS_REQS" 25) in
-    let fuel =
-      let f = env_int "HB_FUEL" 0 in
-      if f > 0 then f else 50_000
-    in
+    let fuel = daemon_fuel () in
     let violations = ref [] in
     let vmu = Mutex.create () in
     let violate fmt =
@@ -802,27 +753,10 @@ module Serve_chaos = struct
           Mutex.unlock vmu)
         fmt
     in
-    let rng = Kit.Rng.create seed in
-    let corpus =
-      "e1(a,b),e2(b,c),e3(c,a)."
-      :: List.map
-           (fun (nv, nc) ->
-             Hg.Hypergraph.to_string
-               (Gen.Random_csp.random rng ~n_variables:nv ~n_constraints:nc
-                  ~max_arity:3))
-           [ (8, 10); (12, 16); (16, 22) ]
-    in
-    let corpus_arr = Array.of_list corpus in
-    let cache_dir =
-      Filename.concat (Filename.get_temp_dir_name ())
-        (Printf.sprintf "hb_chaos_%d" (Unix.getpid ()))
-    in
-    if Sys.file_exists cache_dir then Serve_bench.rm_rf cache_dir;
-    Unix.mkdir cache_dir 0o755;
-    let svc =
+    let corpus_arr = daemon_corpus ~seed [ (8, 10); (12, 16); (16, 22) ] in
+    let service cache =
       {
-        Benchlib.Service.cache =
-          Some (Benchlib.Result_cache.create ~dir:cache_dir);
+        Benchlib.Service.cache = Some cache;
         isolate = Kit.Proc.enabled ();
         mem_mb = None;
         default_timeout = 5.0;
@@ -833,36 +767,20 @@ module Serve_chaos = struct
             ();
       }
     in
-    let cfg =
+    let config =
       {
         (Serve.Server.default_config ()) with
-        Serve.Server.port = 0;
-        jobs = max 2 (env_int "HB_JOBS" 4);
-        queue = 64;
-        rate = 0.;
+        Serve.Server.queue = 64;
         idle_timeout = 2.0;
         drain_grace = 0.5;
         mid_read_timeout = 1.0;
         write_timeout = 5.0;
       }
     in
-    let srv = Serve.Server.create cfg (Benchlib.Service.handler svc) in
-    let th = Thread.create (fun () -> Serve.Server.serve srv) () in
-    let port = Serve.Server.port srv in
-    let host = "127.0.0.1" in
     let target = Printf.sprintf "/decompose?k=3&fuel=%d" fuel in
-    let headers = [ ("Content-Type", "application/x-hyperbench") ] in
-    let fd_before = count_fds () in
-    let joined = ref false in
-    Fun.protect
-      ~finally:(fun () ->
-        Kit.Fault.clear ();
-        if not !joined then begin
-          Serve.Server.stop srv;
-          Thread.join th
-        end;
-        Serve_bench.rm_rf cache_dir)
-      (fun () ->
+    with_daemon ~name:"chaos" ~service ~config (fun ~port ~stop ->
+        Fun.protect ~finally:Kit.Fault.clear @@ fun () ->
+        let fd_before = count_fds () in
         let spec =
           match Sys.getenv_opt "HB_FAULT" with
           | Some s when s <> "" -> s
@@ -999,9 +917,7 @@ module Serve_chaos = struct
           violate "/metrics missing hb_serve_worker_restarts";
         (* bounded, clean drain with everything settled *)
         let t0 = Unix.gettimeofday () in
-        Serve.Server.stop srv;
-        Thread.join th;
-        joined := true;
+        stop ();
         let drain_s = Unix.gettimeofday () -. t0 in
         if drain_s > 10.0 then
           violate "drain took %.1fs (bound 10s)" drain_s;
@@ -1044,90 +960,8 @@ module Serve_chaos = struct
                     List (List.rev_map (fun v -> String v) !violations));
                  ]))
         in
-        let path = "BENCH_chaos.json" in
-        let oc = open_out path in
-        Fun.protect
-          ~finally:(fun () -> close_out_noerr oc)
-          (fun () -> output_string oc json);
-        Printf.printf "Wrote %s\n" path;
-        if !violations <> [] then begin
-          List.iter
-            (Printf.eprintf "chaos violation: %s\n")
-            (List.rev !violations);
-          Printf.eprintf "chaos: %d violation(s)\n%!"
-            (List.length !violations);
-          exit 7
-        end)
-end
-
-(* --- fuzz: adversarial parser soak ------------------------------------------ *)
-
-(* Runs the seeded fuzz harness over all four frontends and writes
-   BENCH_fuzz.json with per-format parse/reject/crash counts. Crash-freedom
-   is the gate: any failure exits 7, like a chaos violation. *)
-module Fuzz_bench = struct
-  let main ~seed ~cases () =
-    Printf.printf "fuzz: %d cases per format, seed %d\n%!" cases seed;
-    let summaries =
-      List.map
-        (fun fmt ->
-          let t0 = Unix.gettimeofday () in
-          let s = Benchlib.Fuzz_driver.run fmt ~cases ~seed in
-          let dt = Unix.gettimeofday () -. t0 in
-          Printf.printf
-            "fuzz: %-5s parsed %6d  rejected %6d  crashes %d  (%.2fs)\n%!"
-            (Benchlib.Fuzz_driver.format_name fmt)
-            s.Benchlib.Fuzz_driver.parsed s.rejected (List.length s.failures)
-            dt;
-          (s, dt))
-        Benchlib.Fuzz_driver.all_formats
-    in
-    let json =
-      Kit.Json.(
-        to_string
-          (Obj
-             [
-               ("schema", String "hyperbench-fuzz/1");
-               ("seed", Int seed);
-               ("cases_per_format", Int cases);
-               ( "formats",
-                 List
-                   (List.map
-                      (fun ((s : Benchlib.Fuzz_driver.summary), dt) ->
-                        Obj
-                          [
-                            ( "format",
-                              String (Benchlib.Fuzz_driver.format_name s.fmt)
-                            );
-                            ("parsed", Int s.parsed);
-                            ("rejected", Int s.rejected);
-                            ("crashes", Int (List.length s.failures));
-                            ("seconds", Float dt);
-                          ])
-                      summaries) );
-             ]))
-    in
-    let path = "BENCH_fuzz.json" in
-    let oc = open_out path in
-    Fun.protect
-      ~finally:(fun () -> close_out_noerr oc)
-      (fun () -> output_string oc json);
-    Printf.printf "Wrote %s\n" path;
-    let crashes =
-      List.concat_map (fun ((s : Benchlib.Fuzz_driver.summary), _) ->
-          List.map
-            (fun (f : Benchlib.Fuzz_driver.failure) ->
-              Printf.sprintf "%s case %d: %s"
-                (Benchlib.Fuzz_driver.format_name s.fmt)
-                f.index f.outcome)
-            s.failures)
-        summaries
-    in
-    if crashes <> [] then begin
-      List.iter (Printf.eprintf "fuzz crash: %s\n") crashes;
-      Printf.eprintf "fuzz: %d crash(es)\n%!" (List.length crashes);
-      exit 7
-    end
+        write_report "BENCH_chaos.json" json);
+    enforce ~leg:"chaos" (List.rev !violations)
 end
 
 (* --- intra: intra-instance parallel BalSep ----------------------------------- *)
@@ -1138,18 +972,13 @@ end
    times and verdicts, the recursion-depth histogram (balsep.depth,
    recorded over the N-domain runs) and the scheduler's steal traffic.
 
-   HB_INTRA_BUDGET  per-run wall budget in seconds (default 10)
-   HB_INTRA_CHECK   threshold file; failing any line exits 9:
-     min_seconds T         only instances whose sequential run took at
-                           least T seconds gate the speedup (vacuous on
-                           boxes where nothing does, e.g. 2-vCPU smoke)
-     min_speedup S         N-domain speedup must reach S on every gated
-                           instance
-     max_jobs1_overhead R  1-domain wall / sequential wall <= R on every
-                           gated instance (the zero-regression gate)
-   A verdict disagreement between sequential and parallel always exits 9,
-   threshold file or not — that is a correctness failure, not a perf
-   miss. *)
+   Gate metrics (the intra.* lines of HB_GATE), produced only for
+   instances whose sequential run decided in at least [min_seconds]
+   (none may qualify on small boxes, e.g. the 2-vCPU smoke):
+     speedup          sequential wall / N-domain wall
+     jobs1_overhead   1-domain wall / sequential wall (zero-regression)
+   A verdict disagreement between sequential and parallel always exits 7,
+   gate file or not: that is a correctness failure, not a perf miss. *)
 module Intra_bench = struct
   type row = {
     name : string;
@@ -1161,6 +990,9 @@ module Intra_bench = struct
     parn_s : float;
     parn_v : string;
   }
+
+  let min_seconds = 1.0
+  let speedup r = r.seq_s /. Float.max r.parn_s 1e-9
 
   let verdict = function
     | Detk.Decomposition _ -> "yes"
@@ -1191,7 +1023,6 @@ module Intra_bench = struct
 
   let render_json ~jobs ~budget rows depth steal =
     let open Kit.Json in
-    let speedup r = r.seq_s /. Float.max r.parn_s 1e-9 in
     to_string
       (Obj
          [
@@ -1234,49 +1065,7 @@ module Intra_bench = struct
                ] );
          ])
 
-  let read_thresholds path =
-    let ic = open_in path in
-    let kv = ref [] in
-    (try
-       while true do
-         let line = String.trim (input_line ic) in
-         if line <> "" && line.[0] <> '#' then
-           match String.split_on_char ' ' line |> List.filter (( <> ) "") with
-           | [ key; v ] -> kv := (key, float_of_string v) :: !kv
-           | _ -> failwith (Printf.sprintf "bad threshold line: %S" line)
-       done
-     with End_of_file -> close_in ic);
-    !kv
-
-  let check_thresholds path rows =
-    let kv = read_thresholds path in
-    let get k = List.assoc_opt k kv in
-    let min_seconds = Option.value ~default:1.0 (get "min_seconds") in
-    let failures = ref [] in
-    let fail fmt = Printf.ksprintf (fun m -> failures := m :: !failures) fmt in
-    List.iter
-      (fun r ->
-        let gated = r.seq_s >= min_seconds && r.seq_v <> "timeout" in
-        (match get "min_speedup" with
-        | Some s when gated && r.seq_s /. Float.max r.parn_s 1e-9 < s ->
-            fail "%s: speedup %.2fx below threshold %.2fx (seq %.2fs, par %.2fs)"
-              r.name
-              (r.seq_s /. Float.max r.parn_s 1e-9)
-              s r.seq_s r.parn_s
-        | _ -> ());
-        match get "max_jobs1_overhead" with
-        | Some m when gated && r.par1_s > r.seq_s *. m ->
-            fail "%s: jobs=1 wall %.2fs exceeds %.2fx the sequential %.2fs"
-              r.name r.par1_s m r.seq_s
-        | _ -> ())
-      rows;
-    if !failures <> [] then begin
-      List.iter (Printf.eprintf "intra regression: %s\n") !failures;
-      Printf.eprintf "intra: %d gate failure(s)\n%!" (List.length !failures);
-      exit 9
-    end
-
-  let main ~seed ~jobs () =
+  let main ~seed ~jobs ~gates () =
     let budget = env_float "HB_INTRA_BUDGET" 10.0 in
     let deadline () = Kit.Deadline.of_seconds budget in
     let solve_seq h k =
@@ -1324,7 +1113,7 @@ module Intra_bench = struct
       (fun r ->
         Printf.printf "  %-16s %2d %12.2fs %-8s %12.2fs %-8s %12.2fs %-8s %7.2fx\n"
           r.name r.k r.seq_s r.seq_v r.par1_s r.par1_v r.parn_s r.parn_v
-          (r.seq_s /. Float.max r.parn_s 1e-9))
+          (speedup r))
       rows;
     (match depth with
     | Some (edges, counts) ->
@@ -1340,38 +1129,41 @@ module Intra_bench = struct
     Printf.printf "  steal scheduler: forked %d, executed %d, stolen %d, inlined %d\n"
       steal.Kit.Steal.forked steal.Kit.Steal.executed steal.Kit.Steal.stolen
       steal.Kit.Steal.inlined;
-    let path = "BENCH_intra.json" in
-    let oc = open_out path in
-    Fun.protect
-      ~finally:(fun () -> close_out_noerr oc)
-      (fun () -> output_string oc (render_json ~jobs ~budget rows depth steal));
-    Printf.printf "Wrote %s\n" path;
+    write_report "BENCH_intra.json" (render_json ~jobs ~budget rows depth steal);
+    (* Differential agreement is unconditional: parallel scheduling must
+       never change an answer. Timeout rows are exempt only against a
+       decided row on the MORE generous side (a parallel run may finish
+       inside a budget the sequential run blew, and vice versa) — but a
+       yes against a no is always fatal. *)
     (* Differential agreement is unconditional: parallel scheduling must
        never change an answer. Timeout rows are exempt only against a
        decided row on the MORE generous side (a parallel run may finish
        inside a budget the sequential run blew, and vice versa) — but a
        yes against a no is always fatal. *)
     let disagreements =
-      List.filter
+      List.filter_map
         (fun r ->
           let decided v = v = "yes" || v = "no" in
-          (decided r.seq_v && decided r.parn_v && r.seq_v <> r.parn_v)
-          || (decided r.seq_v && decided r.par1_v && r.seq_v <> r.par1_v))
+          if
+            (decided r.seq_v && decided r.parn_v && r.seq_v <> r.parn_v)
+            || (decided r.seq_v && decided r.par1_v && r.seq_v <> r.par1_v)
+          then
+            Some
+              (Printf.sprintf "verdict disagreement: %s (seq %s, par1 %s, par%d %s)"
+                 r.name r.seq_v r.par1_v jobs r.parn_v)
+          else None)
         rows
     in
-    if disagreements <> [] then begin
-      List.iter
-        (fun r ->
-          Printf.eprintf "intra verdict disagreement: %s (seq %s, par1 %s, par%d %s)\n"
-            r.name r.seq_v r.par1_v jobs r.parn_v)
-        disagreements;
-      Printf.eprintf "intra: %d verdict disagreement(s)\n%!"
-        (List.length disagreements);
-      exit 9
-    end;
-    match Sys.getenv_opt "HB_INTRA_CHECK" with
-    | Some p when p <> "" -> check_thresholds p rows
-    | Some _ | None -> ()
+    let gated =
+      List.filter (fun r -> r.seq_s >= min_seconds && r.seq_v <> "timeout") rows
+    in
+    enforce ~leg:"intra"
+      (disagreements
+      @ Benchlib.Gate.check gates ~leg:"intra"
+          [
+            ("speedup", List.map speedup gated);
+            ("jobs1_overhead", List.map (fun r -> r.par1_s /. r.seq_s) gated);
+          ])
 end
 
 (* --- main ------------------------------------------------------------------- *)
@@ -1386,24 +1178,44 @@ let () =
   | None -> ());
   let scale = env_float "HB_SCALE" 1.0 in
   let budget_seconds = env_float "HB_BUDGET" 0.5 in
-  let fuel = env_int "HB_FUEL" 0 in
-  let budget =
-    if fuel > 0 then Some (fun () -> Kit.Deadline.of_fuel fuel) else None
-  in
+  let fuel = match env_int "HB_FUEL" 0 with f when f > 0 -> Some f | _ -> None in
+  let budget, budget_for = Experiments.escalating_budget ?fuel budget_seconds in
   let seed = env_int "HB_SEED" 2019 in
-  let jobs = Kit.Pool.default_jobs () in
-  let args = List.tl (Array.to_list Sys.argv) in
-  let wants name = args = [] || List.mem name args in
-  let needs_ctx =
-    List.exists wants
-      [ "table1"; "table2"; "table3"; "table4"; "table5"; "table6";
-        "figure3"; "figure4"; "figure5"; "ablation" ]
+  let jobs =
+    try Kit.Pool.default_jobs ()
+    with Invalid_argument m ->
+      Printf.eprintf "bench: %s\n%!" m;
+      exit 1
   in
+  let gates =
+    match Sys.getenv_opt "HB_GATE" with
+    | None | Some "" -> []
+    | Some path -> (
+        match Benchlib.Gate.read path with
+        | Ok gates -> gates
+        | Error m ->
+            Printf.eprintf "bench: HB_GATE: %s\n%!" m;
+            exit 1)
+  in
+  let tables =
+    [ "table1"; "table2"; "table3"; "table4"; "table5"; "table6";
+      "figure3"; "figure4"; "figure5"; "ablation" ]
+  in
+  let legs = [ "micro"; "perf"; "repo"; "serve"; "chaos"; "intra" ] in
+  let args = List.tl (Array.to_list Sys.argv) in
+  (match List.filter (fun a -> not (List.mem a (tables @ legs))) args with
+  | [] -> ()
+  | bad ->
+      Printf.eprintf "bench: unknown artefact(s): %s\n%!" (String.concat " " bad);
+      exit 1);
+  let wants name = args = [] || List.mem name args in
+  let needs_ctx = List.exists wants tables in
   Printf.printf
     "HyperBench reproduction harness (seed=%d scale=%.2f budget=%s jobs=%d%s)\n\n"
     seed scale
-    (if fuel > 0 then Printf.sprintf "%d fuel" fuel
-     else Printf.sprintf "%.2fs" budget_seconds)
+    (match fuel with
+     | Some f -> Printf.sprintf "%d fuel" f
+     | None -> Printf.sprintf "%.2fs" budget_seconds)
     jobs
     (if Kit.Proc.enabled () then " isolate" else "");
   if needs_ctx then begin
@@ -1419,21 +1231,11 @@ let () =
       | None -> Some "BENCH_journal.jsonl"
     in
     let resume = Sys.getenv_opt "HB_RESUME" = Some "1" in
-    (* Retries escalate the budget (2^attempt), matching the CLI. *)
-    let budget_for =
-      if fuel > 0 then
-        Some (fun ~attempt () -> Kit.Deadline.of_fuel (fuel * (1 lsl attempt)))
-      else
-        Some
-          (fun ~attempt () ->
-            Kit.Deadline.of_seconds
-              (budget_seconds *. float_of_int (1 lsl attempt)))
-    in
     let t0 = Unix.gettimeofday () in
     let campaign =
       match
-        Experiments.prepare_campaign ~seed ~scale ~budget_seconds ?budget
-          ?budget_for ~jobs ?journal ~resume ()
+        Experiments.prepare_campaign ~seed ~scale ~budget ~budget_for ~jobs
+          ?journal ~resume ()
         (* HB_ISOLATE / HB_WALL are picked up inside analyze_outcomes
            (isolate defaults to Kit.Proc.enabled, wall to HB_WALL). *)
       with
@@ -1462,28 +1264,19 @@ let () =
     emit "table5" Experiments.table5;
     emit "table6" Experiments.table6;
     if wants "ablation" then
-      print_endline (Experiments.ablation ?budget ~budget_seconds ctx);
+      print_endline (Experiments.ablation ~budget ctx);
     let snap = Kit.Metrics.snapshot () in
     print_endline (Experiments.metrics_summary snap);
-    let path = "BENCH_metrics.json" in
-    let oc = open_out path in
-    Fun.protect
-      ~finally:(fun () -> close_out_noerr oc)
-      (fun () -> output_string oc (Kit.Metrics.to_json snap));
-    Printf.printf "Wrote %s\n" path;
+    write_report "BENCH_metrics.json" (Kit.Metrics.to_json snap);
     Kit.Metrics.enabled := false
   end;
   if wants "repo" then Repo_bench.main ~seed ~scale ~jobs ();
-  if wants "serve" then Serve_bench.main ~seed ();
+  if wants "serve" then Serve_bench.main ~seed ~gates ();
   (* chaos arms the global fault harness, so it never runs by default —
      only when asked for by name *)
   if List.mem "chaos" args then Serve_chaos.main ~seed ();
-  (* the fuzz soak is an explicit leg too: thousands of adversarial parses
-     are gate material, not default micro-bench material *)
-  if List.mem "fuzz" args then
-    Fuzz_bench.main ~seed ~cases:(env_int "HB_FUZZ_CASES" 2000) ();
   (* explicit leg too: several multi-second solver runs, gate material
-     for the HB_INTRA_CHECK thresholds rather than default output *)
-  if List.mem "intra" args then Intra_bench.main ~seed ~jobs ();
-  if wants "perf" then Perf.main ();
+     rather than default output *)
+  if List.mem "intra" args then Intra_bench.main ~seed ~jobs ~gates ();
+  if wants "perf" then Perf.main ~gates ();
   if wants "micro" then micro ()

@@ -732,20 +732,7 @@ let campaign_cmd =
     in
     (* --resume FILE implies journaling to that same file. *)
     let journal = match resume with Some p -> Some p | None -> journal in
-    (* Retries escalate the budget: attempt i gets 2^i times the base, so
-       a genuinely-too-tight budget can succeed on retry while a
-       deterministic crash just fails identically and gets recorded. *)
-    let budget, budget_for =
-      match fuel with
-      | Some f ->
-          ( (fun () -> Kit.Deadline.of_fuel f),
-            fun ~attempt () -> Kit.Deadline.of_fuel (f * (1 lsl attempt)) )
-      | None ->
-          ( (fun () -> Kit.Deadline.of_seconds timeout),
-            fun ~attempt () ->
-              Kit.Deadline.of_seconds (timeout *. float_of_int (1 lsl attempt))
-          )
-    in
+    let budget, budget_for = Experiments.escalating_budget ?fuel timeout in
     (* The watchdog shadows the cooperative budget: HB_WALL when set; the
        escalated per-attempt timeout plus a grace second otherwise (a
        well-behaved task always hits its soft deadline first); for fuel
@@ -1012,6 +999,17 @@ let serve_cmd =
 
 let fuzz_cmd =
   let run format cases seed out =
+    let* seed =
+      match (seed, Sys.getenv_opt "HB_FUZZ_SEED") with
+      | Some s, _ -> Ok s
+      | None, None -> Ok 2019
+      | None, Some v -> (
+          match int_of_string_opt (String.trim v) with
+          | Some s -> Ok s
+          | None ->
+              Error
+                (1, Printf.sprintf "HB_FUZZ_SEED: expected an integer, got %S" v))
+    in
     let* formats =
       if format = "all" then Ok Benchlib.Fuzz_driver.all_formats
       else
@@ -1064,14 +1062,9 @@ let fuzz_cmd =
       value & opt int 2000
       & info [ "cases" ] ~docv:"N" ~doc:"Cases per format.")
   in
-  let default_seed =
-    match Option.bind (Sys.getenv_opt "HB_FUZZ_SEED") int_of_string_opt with
-    | Some s -> s
-    | None -> 2019
-  in
   let seed =
     Arg.(
-      value & opt int default_seed
+      value & opt (some int) None
       & info [ "seed" ] ~docv:"SEED"
           ~doc:
             "Base seed; case i derives its own stream from (SEED, i), so a \

@@ -717,6 +717,14 @@ type campaign = {
   journal_corrupt : int;
 }
 
+let escalating_budget ?fuel seconds =
+  let at attempt =
+    match fuel with
+    | Some f -> Kit.Deadline.of_fuel (f * (1 lsl attempt))
+    | None -> Kit.Deadline.of_seconds (seconds *. float_of_int (1 lsl attempt))
+  in
+  ((fun () -> at 0), fun ~attempt () -> at attempt)
+
 let prepare_campaign ?(seed = 2019) ?(scale = 1.0) ?(budget_seconds = 1.0)
     ?budget ?budget_for ?retries ?mem_mb ?(max_k = 8) ?jobs ?(intra = false)
     ?isolate ?wall ?shard ?cache ?journal ?(resume = false) () =

@@ -112,6 +112,17 @@ type campaign = {
           entries that no longer decode) — their instances rerun *)
 }
 
+val escalating_budget :
+  ?fuel:int ->
+  float ->
+  (unit -> Kit.Deadline.t) * (attempt:int -> unit -> Kit.Deadline.t)
+(** [escalating_budget ?fuel seconds] is the [(budget, budget_for)] pair
+    {!prepare_campaign} takes: a fuel budget of [fuel] steps when given,
+    else a wall budget of [seconds]. Attempt [i] (retries) gets [2^i]
+    times the base, so a too-tight budget can succeed on retry while a
+    deterministic crash fails identically and is recorded. [budget ()]
+    is attempt 0. *)
+
 val prepare_campaign :
   ?seed:int ->
   ?scale:float ->

@@ -341,6 +341,115 @@ let experiments_render () =
         && String.sub text 0 (String.length header) = header))
     checks
 
+(* Attempt i of a retried instance gets 2^i times the base budget. *)
+let escalating_budget () =
+  let budget, budget_for = Experiments.escalating_budget ~fuel:1000 0.5 in
+  let fuel d = Kit.Deadline.fuel_remaining d in
+  Alcotest.(check (option int)) "budget () is attempt 0" (Some 1000)
+    (fuel (budget ()));
+  List.iter
+    (fun (attempt, want) ->
+      Alcotest.(check (option int))
+        (Printf.sprintf "attempt %d" attempt)
+        (Some want)
+        (fuel (budget_for ~attempt ())))
+    [ (0, 1000); (1, 2000); (2, 4000) ]
+
+(* --- gates ---------------------------------------------------------------- *)
+
+let gates text =
+  match B.Gate.parse ~file:"gates.txt" text with
+  | Ok g -> g
+  | Error m -> Alcotest.failf "unexpected parse error: %s" m
+
+let gate_bounds () =
+  let g = gates "serve.errors <= 0\nserve.rps >= 20  # floor\n\n# comment\n" in
+  let check name want rows =
+    Alcotest.(check int) name want (List.length (B.Gate.check g ~leg:"serve" rows))
+  in
+  let rows errors rps = [ ("errors", [ errors ]); ("rps", [ rps ]) ] in
+  check "equality passes both ways" 0 (rows 0. 20.);
+  check "<= violated" 1 (rows 1. 20.);
+  check ">= violated" 1 (rows 0. 19.9);
+  check "every value of a metric is gated" 1
+    [ ("errors", [ 0.; 0.; 2. ]); ("rps", [ 25. ]) ];
+  check "a metric with no values passes" 0 [ ("errors", []); ("rps", []) ]
+
+let gate_other_legs_ignored () =
+  let g = gates "perf.components.words <= 130\nintra.speedup >= 2.0\n" in
+  Alcotest.(check (list string)) "serve sees no lines" []
+    (B.Gate.check g ~leg:"serve" [ ("errors", [ 5. ]) ]);
+  Alcotest.(check (list string)) "perf: metric keeps its inner dots" []
+    (B.Gate.check g ~leg:"perf" [ ("components.words", [ 64. ]) ])
+
+let gate_unknown_metric () =
+  let g = gates "serve.p99ms <= 5000\n" in
+  Alcotest.(check int) "typo is a violation" 1
+    (List.length
+       (B.Gate.check g ~leg:"serve" [ ("p99_ms", [ 1. ]); ("errors", [ 0. ]) ]))
+
+let gate_malformed () =
+  List.iter
+    (fun (text, prefix) ->
+      match B.Gate.parse ~file:"g" text with
+      | Ok _ -> Alcotest.failf "accepted %S" text
+      | Error m ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%S -> %s" text m)
+            true
+            (String.length m >= String.length prefix
+            && String.sub m 0 (String.length prefix) = prefix))
+    [
+      ("# ok\nserve.errors <= 0\nserve.rps 20\n", "g:3: ");
+      ("serve.errors < 0\n", "g:1: ");
+      ("serve.errors <= zero\n", "g:1: ");
+      ("serve.errors <= nan\n", "g:1: ");
+      ("errors <= 0\n", "g:1: ");
+      ("serv.errors <= 0\n", "g:1: ");
+      ("max_errors 0\n", "g:1: ");
+    ]
+
+(* The committed file parses, and every leg it names is a bench leg. *)
+let gate_committed_file () =
+  let path =
+    Filename.concat
+      (Filename.dirname (Filename.dirname Sys.executable_name))
+      "bench/gates.txt"
+  in
+  match B.Gate.read path with
+  | Error m -> Alcotest.fail m
+  | Ok g ->
+      Alcotest.(check bool) "nonempty" true (g <> []);
+      List.iter
+        (fun (b : B.Gate.bound) ->
+          Alcotest.(check bool)
+            (Printf.sprintf "line %d names leg %s" b.line b.leg)
+            true (List.mem b.leg B.Gate.legs))
+        g;
+      List.iter
+        (fun leg ->
+          Alcotest.(check bool) (leg ^ " gated") true
+            (List.exists (fun (b : B.Gate.bound) -> b.leg = leg) g))
+        B.Gate.legs
+
+(* One file gating two legs: each leg checks only its own lines. *)
+let gate_two_legs () =
+  let g =
+    gates
+      "perf.components.words <= 130\nperf.separates.words <= 55\n\
+       serve.errors <= 0\nserve.rps >= 20\nserve.p99_ms <= 5000\n"
+  in
+  Alcotest.(check (list string)) "serve passes" []
+    (B.Gate.check g ~leg:"serve"
+       [ ("errors", [ 0. ]); ("rps", [ 120. ]); ("p99_ms", [ 40. ]) ]);
+  Alcotest.(check (list string)) "perf passes" []
+    (B.Gate.check g ~leg:"perf"
+       [
+         ("components.words", [ 64. ]);
+         ("separates.words", [ 26. ]);
+         ("is_balanced.words", [ 44. ]);
+       ])
+
 let () =
   Alcotest.run "benchlib"
     [
@@ -373,5 +482,19 @@ let () =
       ( "metrics",
         [ Alcotest.test_case "jobs parity" `Slow metrics_jobs_parity ] );
       ( "experiments",
-        [ Alcotest.test_case "render all artefacts" `Slow experiments_render ] );
+        [
+          Alcotest.test_case "render all artefacts" `Slow experiments_render;
+          Alcotest.test_case "escalating budget" `Quick escalating_budget;
+        ] );
+      ( "gate",
+        [
+          Alcotest.test_case "<= and >= bounds" `Quick gate_bounds;
+          Alcotest.test_case "other legs ignored" `Quick gate_other_legs_ignored;
+          Alcotest.test_case "unknown metric is a violation" `Quick
+            gate_unknown_metric;
+          Alcotest.test_case "malformed line names its number" `Quick
+            gate_malformed;
+          Alcotest.test_case "committed gates.txt" `Quick gate_committed_file;
+          Alcotest.test_case "one file gates serve and perf" `Quick gate_two_legs;
+        ] );
     ]

@@ -964,6 +964,31 @@ let malformed_hb_jobs () =
       Alcotest.(check int) "server takes a valid HB_JOBS" 3
         (Serve.Server.default_config ()).Serve.Server.jobs)
 
+(* Same rule for the fuzz seed: a typo must not quietly fuzz seed 2019. *)
+let malformed_hb_fuzz_seed () =
+  let env =
+    Array.append [| "HB_FUZZ_SEED=abc" |]
+      (Array.of_list
+         (List.filter
+            (fun kv -> not (String.starts_with ~prefix:"HB_FUZZ_SEED=" kv))
+            (Array.to_list (Unix.environment ()))))
+  in
+  let err_rd, err_wr = Unix.pipe () in
+  let pid =
+    Unix.create_process_env exe
+      [| exe; "fuzz"; "--format"; "hg"; "--cases"; "1" |]
+      env Unix.stdin Unix.stdout err_wr
+  in
+  Unix.close err_wr;
+  let ic = Unix.in_channel_of_descr err_rd in
+  let line = try input_line ic with End_of_file -> "" in
+  close_in ic;
+  (match Unix.waitpid [] pid with
+  | _, Unix.WEXITED 1 -> ()
+  | _ -> Alcotest.fail "HB_FUZZ_SEED=abc: fuzz did not exit 1");
+  Alcotest.(check string) "fuzz diagnostic"
+    "hyperbench: HB_FUZZ_SEED: expected an integer, got \"abc\"" line
+
 let () =
   Alcotest.run "serve"
     [
@@ -1020,5 +1045,7 @@ let () =
             expired_deadline_504;
           Alcotest.test_case "malformed HB_JOBS is an error" `Quick
             malformed_hb_jobs;
+          Alcotest.test_case "malformed HB_FUZZ_SEED is an error" `Quick
+            malformed_hb_fuzz_seed;
         ] );
     ]
