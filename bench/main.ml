@@ -33,20 +33,19 @@
 
    Leg knobs:
      HB_PERF_ITERS    iterations per [perf] micro-kernel (default 10000)
-     HB_INTRA_BUDGET  per-run wall budget of [intra], seconds (default 10)
      HB_GATE          gate file (bench/gates.txt): one "<leg>.<metric> <= v" or
-                      ">= v" bound per line for the perf, serve and intra
-                      legs; each leg checks only its own lines
+                      ">= v" bound per line for the perf and serve legs;
+                      each leg checks only its own lines
 
    A malformed knob exits 1 naming it. Any gate violation exits 7: a
    missed HB_GATE bound, a gate line naming a metric its leg does not
-   produce, the repo leg's cache re-run check, a chaos violation, or an
-   intra seq/par verdict disagreement. Failures to set a leg up keep
-   their own codes (6 for the repository, campaign and serve warm-up).
+   produce, the repo leg's cache re-run check, or a chaos violation.
+   Failures to set a leg up keep their own codes (6 for the repository,
+   campaign and serve warm-up).
 
    Usage: main.exe [table1|table2|table3|table4|table5|table6|
                     figure3|figure4|figure5|ablation|micro|perf|repo|
-                    serve|chaos|intra]... *)
+                    serve|chaos]... *)
 
 let knob name parse what default =
   match Sys.getenv_opt name with
@@ -964,208 +963,6 @@ module Serve_chaos = struct
     enforce ~leg:"chaos" (List.rev !violations)
 end
 
-(* --- intra: intra-instance parallel BalSep ----------------------------------- *)
-
-(* Measures the work-stealing Ghd.Par_bal_sep against sequential
-   Ghd.Bal_sep on seeded instances that make BalSep recurse, and writes
-   BENCH_intra.json: per-instance sequential / 1-domain / N-domain wall
-   times and verdicts, the recursion-depth histogram (balsep.depth,
-   recorded over the N-domain runs) and the scheduler's steal traffic.
-
-   Gate metrics (the intra.* lines of HB_GATE), produced only for
-   instances whose sequential run decided in at least [min_seconds]
-   (none may qualify on small boxes, e.g. the 2-vCPU smoke):
-     speedup          sequential wall / N-domain wall
-     jobs1_overhead   1-domain wall / sequential wall (zero-regression)
-   A verdict disagreement between sequential and parallel always exits 7,
-   gate file or not: that is a correctness failure, not a perf miss. *)
-module Intra_bench = struct
-  type row = {
-    name : string;
-    k : int;
-    seq_s : float;
-    seq_v : string;
-    par1_s : float;
-    par1_v : string;
-    parn_s : float;
-    parn_v : string;
-  }
-
-  let min_seconds = 1.0
-  let speedup r = r.seq_s /. Float.max r.parn_s 1e-9
-
-  let verdict = function
-    | Detk.Decomposition _ -> "yes"
-    | Detk.No_decomposition -> "no"
-    | Detk.Timeout -> "timeout"
-
-  let timed f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-
-  (* Instances chosen to exercise the recursion: grids are the paper's
-     hard CSP Other family (width grows with the side), the CSP and
-     colouring instances give BalSep many balanced separators to split
-     on, scheduling is moderately cyclic. *)
-  let instances ~seed =
-    let rng = Kit.Rng.create seed in
-    [
-      ("grid-5x5", Gen.Structured.grid ~rows:5 ~cols:5, 3);
-      ("grid-6x6", Gen.Structured.grid ~rows:6 ~cols:6, 3);
-      ( "csp-large",
-        Gen.Random_csp.random rng ~n_variables:60 ~n_constraints:90
-          ~max_arity:4,
-        3 );
-      ("coloring-40", Gen.Structured.coloring rng ~n_vertices:40 ~avg_degree:4.0, 3);
-      ("scheduling-8x5", Gen.Structured.scheduling rng ~jobs:8 ~machines:5, 3);
-    ]
-
-  let render_json ~jobs ~budget rows depth steal =
-    let open Kit.Json in
-    to_string
-      (Obj
-         [
-           ("schema", String "hyperbench-intra/1");
-           ("jobs", Int jobs);
-           ("budget_seconds", Float budget);
-           ( "instances",
-             List
-               (List.map
-                  (fun r ->
-                    Obj
-                      [
-                        ("name", String r.name);
-                        ("k", Int r.k);
-                        ("seq_seconds", Float r.seq_s);
-                        ("seq_verdict", String r.seq_v);
-                        ("par1_seconds", Float r.par1_s);
-                        ("par1_verdict", String r.par1_v);
-                        ("parn_seconds", Float r.parn_s);
-                        ("parn_verdict", String r.parn_v);
-                        ("speedup", Float (speedup r));
-                      ])
-                  rows) );
-           ( "depth_histogram",
-             match depth with
-             | None -> Null
-             | Some (edges, counts) ->
-                 Obj
-                   [
-                     ("edges", List (List.map (fun e -> Int e) (Array.to_list edges)));
-                     ("counts", List (List.map (fun c -> Int c) (Array.to_list counts)));
-                   ] );
-           ( "steal",
-             Obj
-               [
-                 ("forked", Int steal.Kit.Steal.forked);
-                 ("executed", Int steal.Kit.Steal.executed);
-                 ("stolen", Int steal.Kit.Steal.stolen);
-                 ("inlined", Int steal.Kit.Steal.inlined);
-               ] );
-         ])
-
-  let main ~seed ~jobs ~gates () =
-    let budget = env_float "HB_INTRA_BUDGET" 10.0 in
-    let deadline () = Kit.Deadline.of_seconds budget in
-    let solve_seq h k =
-      timed (fun () ->
-          (Ghd.Bal_sep.solve ~deadline:(deadline ()) h ~k).Ghd.Bal_sep.outcome)
-    in
-    let solve_par ~jobs h k =
-      timed (fun () ->
-          (Ghd.Par_bal_sep.solve ~jobs ~deadline:(deadline ()) h ~k)
-            .Ghd.Bal_sep.outcome)
-    in
-    let insts = instances ~seed in
-    (* Sequential and 1-domain passes run metrics-off; the depth
-       histogram and steal totals are recorded over the N-domain pass
-       only, so they describe the parallel runs alone. *)
-    let partial =
-      List.map
-        (fun (name, h, k) ->
-          let o_seq, seq_s = solve_seq h k in
-          let o_par1, par1_s = solve_par ~jobs:1 h k in
-          (name, h, k, verdict o_seq, seq_s, verdict o_par1, par1_s))
-        insts
-    in
-    Kit.Metrics.reset ();
-    Kit.Metrics.enabled := true;
-    Kit.Steal.reset_totals ();
-    let rows =
-      List.map
-        (fun (name, h, k, seq_v, seq_s, par1_v, par1_s) ->
-          let o_parn, parn_s = solve_par ~jobs h k in
-          { name; k; seq_s; seq_v; par1_s; par1_v; parn_s;
-            parn_v = verdict o_parn })
-        partial
-    in
-    let snap = Kit.Metrics.snapshot () in
-    Kit.Metrics.enabled := false;
-    Kit.Metrics.reset ();
-    let depth = Kit.Metrics.get_histogram snap "balsep.depth" in
-    let steal = Kit.Steal.totals () in
-    Printf.printf "Intra-instance parallel BalSep (%d domains, %.0fs budget):\n"
-      jobs budget;
-    Printf.printf "  %-16s %2s %22s %22s %22s %8s\n" "instance" "k"
-      "seq" "par jobs=1" (Printf.sprintf "par jobs=%d" jobs) "speedup";
-    List.iter
-      (fun r ->
-        Printf.printf "  %-16s %2d %12.2fs %-8s %12.2fs %-8s %12.2fs %-8s %7.2fx\n"
-          r.name r.k r.seq_s r.seq_v r.par1_s r.par1_v r.parn_s r.parn_v
-          (speedup r))
-      rows;
-    (match depth with
-    | Some (edges, counts) ->
-        Printf.printf "  recursion depth: %s\n"
-          (String.concat ", "
-             (List.mapi
-                (fun i c ->
-                  if i < Array.length edges then
-                    Printf.sprintf "<=%d: %d" edges.(i) c
-                  else Printf.sprintf ">%d: %d" edges.(Array.length edges - 1) c)
-                (Array.to_list counts)))
-    | None -> ());
-    Printf.printf "  steal scheduler: forked %d, executed %d, stolen %d, inlined %d\n"
-      steal.Kit.Steal.forked steal.Kit.Steal.executed steal.Kit.Steal.stolen
-      steal.Kit.Steal.inlined;
-    write_report "BENCH_intra.json" (render_json ~jobs ~budget rows depth steal);
-    (* Differential agreement is unconditional: parallel scheduling must
-       never change an answer. Timeout rows are exempt only against a
-       decided row on the MORE generous side (a parallel run may finish
-       inside a budget the sequential run blew, and vice versa) — but a
-       yes against a no is always fatal. *)
-    (* Differential agreement is unconditional: parallel scheduling must
-       never change an answer. Timeout rows are exempt only against a
-       decided row on the MORE generous side (a parallel run may finish
-       inside a budget the sequential run blew, and vice versa) — but a
-       yes against a no is always fatal. *)
-    let disagreements =
-      List.filter_map
-        (fun r ->
-          let decided v = v = "yes" || v = "no" in
-          if
-            (decided r.seq_v && decided r.parn_v && r.seq_v <> r.parn_v)
-            || (decided r.seq_v && decided r.par1_v && r.seq_v <> r.par1_v)
-          then
-            Some
-              (Printf.sprintf "verdict disagreement: %s (seq %s, par1 %s, par%d %s)"
-                 r.name r.seq_v r.par1_v jobs r.parn_v)
-          else None)
-        rows
-    in
-    let gated =
-      List.filter (fun r -> r.seq_s >= min_seconds && r.seq_v <> "timeout") rows
-    in
-    enforce ~leg:"intra"
-      (disagreements
-      @ Benchlib.Gate.check gates ~leg:"intra"
-          [
-            ("speedup", List.map speedup gated);
-            ("jobs1_overhead", List.map (fun r -> r.par1_s /. r.seq_s) gated);
-          ])
-end
-
 (* --- main ------------------------------------------------------------------- *)
 
 let () =
@@ -1201,7 +998,7 @@ let () =
     [ "table1"; "table2"; "table3"; "table4"; "table5"; "table6";
       "figure3"; "figure4"; "figure5"; "ablation" ]
   in
-  let legs = [ "micro"; "perf"; "repo"; "serve"; "chaos"; "intra" ] in
+  let legs = [ "micro"; "perf"; "repo"; "serve"; "chaos" ] in
   let args = List.tl (Array.to_list Sys.argv) in
   (match List.filter (fun a -> not (List.mem a (tables @ legs))) args with
   | [] -> ()
@@ -1275,8 +1072,5 @@ let () =
   (* chaos arms the global fault harness, so it never runs by default —
      only when asked for by name *)
   if List.mem "chaos" args then Serve_chaos.main ~seed ();
-  (* explicit leg too: several multi-second solver runs, gate material
-     rather than default output *)
-  if List.mem "intra" args then Intra_bench.main ~seed ~jobs ~gates ();
   if wants "perf" then Perf.main ~gates ();
   if wants "micro" then micro ()

@@ -295,21 +295,11 @@ let analyze_cmd =
 let method_conv =
   Arg.enum
     [ ("hd", `Hd); ("globalbip", `Global); ("localbip", `Local);
-      ("balsep", `Balsep); ("parbalsep", `Parbalsep);
-      ("portfolio", `Portfolio) ]
-
-(* HB_INTRA=1 turns intra-instance parallelism on by default; the
-   --par-intra flag does the same per invocation. *)
-let intra_env () =
-  match Sys.getenv_opt "HB_INTRA" with
-  | Some ("1" | "true" | "yes") -> true
-  | Some _ | None -> false
+      ("balsep", `Balsep); ("portfolio", `Portfolio) ]
 
 let decompose_cmd =
-  let run path k meth timeout jobs isolate par_intra dot save stats stats_json
-      =
+  let run path k meth timeout jobs isolate dot save stats stats_json =
     let isolate = isolate || Kit.Proc.enabled () in
-    let par_intra = par_intra || intra_env () in
     let* h = load_hypergraph path in
     with_stats ~stats ~stats_json @@ fun () ->
     let deadline () = Kit.Deadline.of_seconds timeout in
@@ -319,28 +309,16 @@ let decompose_cmd =
       | `Global -> (Ghd.Global_bip.solve ~deadline:(deadline ()) h ~k).Ghd.Global_bip.outcome
       | `Local -> (Ghd.Local_bip.solve ~deadline:(deadline ()) h ~k).Ghd.Local_bip.outcome
       | `Balsep -> (Ghd.Bal_sep.solve ~deadline:(deadline ()) h ~k).Ghd.Bal_sep.outcome
-      | `Parbalsep ->
-          (Ghd.Par_bal_sep.solve ~jobs ~deadline:(deadline ()) h ~k)
-            .Ghd.Bal_sep.outcome
       | `Portfolio -> (
           (* With more than one job the algorithms race on separate
              domains and the first exact verdict cancels the rest
              cooperatively; under --isolate they race as forked processes
-             and the winner SIGKILLs the losers. With --par-intra (or
-             HB_INTRA=1) the work-stealing BalSep joins the portfolio,
-             using [jobs] domains inside its member slot — except under
-             isolation, where members always run intra-sequentially. *)
-          let members =
-            if par_intra then Ghd.Portfolio.order_with_intra
-            else Ghd.Portfolio.order
-          in
+             and the winner SIGKILLs the losers. *)
           let portfolio ~budget h ~k =
             if isolate then
-              Ghd.Portfolio.race_isolated ~budget ~members
-                ~wall:(timeout +. 1.0) h ~k
-            else if jobs > 1 then
-              Ghd.Portfolio.race ~budget ~members ~intra_jobs:jobs h ~k
-            else Ghd.Portfolio.check ~budget ~members ~intra_jobs:jobs h ~k
+              Ghd.Portfolio.race_isolated ~budget ~wall:(timeout +. 1.0) h ~k
+            else if jobs > 1 then Ghd.Portfolio.race ~budget h ~k
+            else Ghd.Portfolio.check ~budget h ~k
           in
           match portfolio ~budget:deadline h ~k with
           | Ghd.Portfolio.Yes (d, alg) ->
@@ -351,17 +329,6 @@ let decompose_cmd =
               Detk.No_decomposition
           | Ghd.Portfolio.All_timeout -> Detk.Timeout)
     in
-    (* The scheduler's own traffic lives outside Kit.Metrics (it is
-       schedule-dependent, and the metrics registry is reserved for
-       deterministic counters) — print it alongside the table. *)
-    if stats then begin
-      let t = Kit.Steal.totals () in
-      if t.Kit.Steal.forked > 0 then
-        Printf.printf
-          "steal scheduler: forked %d, executed %d, stolen %d, inlined %d\n"
-          t.Kit.Steal.forked t.Kit.Steal.executed t.Kit.Steal.stolen
-          t.Kit.Steal.inlined
-    end;
     (match outcome with
     | Detk.Decomposition d ->
         Printf.printf "width <= %d: YES (width %d)\n" k (Decomp.width d);
@@ -387,17 +354,7 @@ let decompose_cmd =
       value
       & opt method_conv `Hd
       & info [ "m"; "method" ] ~docv:"METHOD"
-          ~doc:"hd | globalbip | localbip | balsep | parbalsep | portfolio.")
-  in
-  let par_intra =
-    Arg.(
-      value & flag
-      & info [ "par-intra" ]
-          ~doc:
-            "Add the work-stealing intra-parallel BalSep to the portfolio \
-             (method $(b,portfolio) only; $(b,parbalsep) selects it \
-             directly). The member uses $(b,--jobs) domains inside one \
-             instance. Implied by $(b,HB_INTRA=1).")
+          ~doc:"hd | globalbip | localbip | balsep | portfolio.")
   in
   let dot =
     Arg.(value & flag & info [ "dot" ] ~doc:"Emit GraphViz instead of text.")
@@ -412,7 +369,7 @@ let decompose_cmd =
     (Cmd.info "decompose" ~doc:"Compute an HD or GHD of width at most k.")
     Term.(
       const run $ path $ k_arg $ meth $ timeout_arg $ jobs_arg $ isolate_arg
-      $ par_intra $ dot $ save $ stats_arg $ stats_json_arg)
+      $ dot $ save $ stats_arg $ stats_json_arg)
 
 (* --- validate ------------------------------------------------------------------ *)
 
@@ -746,8 +703,8 @@ let campaign_cmd =
     let* c =
       tag exit_repo
         (Experiments.prepare_campaign ~seed ~scale ~budget ~budget_for
-           ?retries ?mem_mb:mem_limit ~max_k ~jobs ~intra:(intra_env ())
-           ~isolate ~wall ?shard ?cache ?journal ~resume:(resume <> None) ())
+           ?retries ?mem_mb:mem_limit ~max_k ~jobs ~isolate ~wall ?shard ?cache
+           ?journal ~resume:(resume <> None) ())
     in
     print_string (Experiments.campaign_summary c);
     (match journal with

@@ -178,7 +178,7 @@ type ghd_record = {
 }
 
 let ghd_comparison ?(budget = default_budget) ?(ks = [ 3; 4; 5; 6 ]) ?jobs
-    ?(intra_jobs = 1) records =
+    records =
   List.filter_map Fun.id
   @@ pool_map ?jobs
        (fun r ->
@@ -187,30 +187,9 @@ let ghd_comparison ?(budget = default_budget) ?(ks = [ 3; 4; 5; 6 ]) ?jobs
           let h = r.instance.Instance.hg in
           let target_k = k - 1 in
           let run alg =
-            let (outcome : Detk.outcome), exact, seconds =
-              match alg with
-              | Ghd.Portfolio.Bal_sep_alg ->
-                  let a, s =
-                    timed (fun () -> Ghd.Bal_sep.solve ~deadline:(budget ()) h ~k:target_k)
-                  in
-                  (a.Ghd.Bal_sep.outcome, a.Ghd.Bal_sep.exact, s)
-              | Ghd.Portfolio.Par_bal_sep_alg ->
-                  let a, s =
-                    timed (fun () ->
-                        Ghd.Par_bal_sep.solve ~jobs:intra_jobs
-                          ~deadline:(budget ()) h ~k:target_k)
-                  in
-                  (a.Ghd.Bal_sep.outcome, a.Ghd.Bal_sep.exact, s)
-              | Ghd.Portfolio.Local_bip_alg ->
-                  let a, s =
-                    timed (fun () -> Ghd.Local_bip.solve ~deadline:(budget ()) h ~k:target_k)
-                  in
-                  (a.Ghd.Local_bip.outcome, a.Ghd.Local_bip.exact, s)
-              | Ghd.Portfolio.Global_bip_alg ->
-                  let a, s =
-                    timed (fun () -> Ghd.Global_bip.solve ~deadline:(budget ()) h ~k:target_k)
-                  in
-                  (a.Ghd.Global_bip.outcome, a.Ghd.Global_bip.exact, s)
+            let { Ghd.Bal_sep.outcome; exact }, seconds =
+              timed (fun () ->
+                  Ghd.Portfolio.solve alg ~deadline:(budget ()) h ~k:target_k)
             in
             let v : verdict =
               match outcome with
@@ -220,19 +199,9 @@ let ghd_comparison ?(budget = default_budget) ?(ks = [ 3; 4; 5; 6 ]) ?jobs
             in
             { algorithm = alg; outcome = v; seconds }
           in
-          (* The intra-parallel member joins the comparison only when it
-             actually gets extra domains. Its steal-worker domains record
-             into their own metric stores, outside this local delta — the
-             ticks still reach the process-wide snapshot, but per-record
-             [stats] under-report the parallel member; campaigns that pin
-             per-record deltas bit-for-bit keep [intra_jobs = 1]. *)
-          let members =
-            [ Ghd.Portfolio.Bal_sep_alg; Ghd.Portfolio.Local_bip_alg;
-              Ghd.Portfolio.Global_bip_alg ]
-            @ (if intra_jobs > 1 then [ Ghd.Portfolio.Par_bal_sep_alg ] else [])
-          in
           let runs, stats =
-            Kit.Metrics.local_delta (fun () -> List.map run members)
+            Kit.Metrics.local_delta (fun () ->
+                List.map run Ghd.Portfolio.order)
           in
           let decided =
             List.filter (fun x -> x.outcome <> `Timeout) runs

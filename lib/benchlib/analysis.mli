@@ -122,18 +122,11 @@ val ghd_comparison :
   ?budget:(unit -> Kit.Deadline.t) ->
   ?ks:int list ->
   ?jobs:int ->
-  ?intra_jobs:int ->
   record list ->
   ghd_record list
 (** Table 3/4 protocol: for every instance whose hw (yes-level) k is in
     [ks] (default [3;4;5;6]), run all three GHD algorithms on
-    Check(GHD, k-1). With [intra_jobs > 1] (default 1) the comparison
-    additionally runs {!Ghd.Par_bal_sep} on [intra_jobs] domains —
-    how a campaign spends idle pool domains when the instance shard is
-    narrower than the pool. Caveat: the parallel member's steal workers
-    record metrics on their own domains, outside the per-record
-    [stats] delta (the ticks still reach the global snapshot), so
-    audits that pin per-record deltas must keep [intra_jobs = 1]. *)
+    Check(GHD, k-1). *)
 
 type frac_record = {
   name : string;

@@ -1,7 +1,7 @@
 type op = Le | Ge
 type bound = { line : int; leg : string; metric : string; op : op; value : float }
 
-let legs = [ "perf"; "serve"; "intra" ]
+let legs = [ "perf"; "serve" ]
 let op_name = function Le -> "<=" | Ge -> ">="
 
 (* Whitespace-separated fields of a line, '#' to end of line dropped. *)

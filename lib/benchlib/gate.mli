@@ -19,8 +19,8 @@ type bound = {
 }
 
 val legs : string list
-(** The bench legs that produce gateable metrics: [perf], [serve] and
-    [intra]. A line naming any other leg is a parse error. *)
+(** The bench legs that produce gateable metrics: [perf] and [serve]. A
+    line naming any other leg is a parse error. *)
 
 val parse : file:string -> string -> (bound list, string) result
 (** Parse gate-file text, in file order. The error names the first

@@ -187,19 +187,6 @@ let solve_once ~cfg ~meth ~k ~budget h () =
             let a = Ghd.Bal_sep.solve ~deadline:(fresh_deadline budget) h ~k in
             ghd_answer a.Ghd.Bal_sep.outcome ~exact:a.Ghd.Bal_sep.exact ~k
               ~alg:"balsep" h
-        | "parbalsep", Some k ->
-            (* Intra-parallel BalSep. Domains spawned in the daemon
-               process would permanently break [Unix.fork], so the
-               in-process path pins jobs = 1 (Par_bal_sep spawns no
-               domains then); under isolation this already runs in a
-               forked child, which is free to use the full pool width. *)
-            let jobs = if cfg.isolate then Kit.Pool.default_jobs () else 1 in
-            let a =
-              Ghd.Par_bal_sep.solve ~jobs ~deadline:(fresh_deadline budget) h
-                ~k
-            in
-            ghd_answer a.Ghd.Bal_sep.outcome ~exact:a.Ghd.Bal_sep.exact ~k
-              ~alg:"parbalsep" h
         | "localbip", Some k ->
             let a = Ghd.Local_bip.solve ~deadline:(fresh_deadline budget) h ~k in
             ghd_answer a.Ghd.Local_bip.outcome ~exact:a.Ghd.Local_bip.exact ~k
@@ -318,7 +305,7 @@ let payload_err = function
            ])
 
 let methods =
-  [ "hd"; "balsep"; "parbalsep"; "localbip"; "globalbip"; "portfolio" ]
+  [ "hd"; "balsep"; "localbip"; "globalbip"; "portfolio" ]
 
 exception Bad_param of string
 
@@ -533,7 +520,7 @@ let usage =
                Kit.Json.String
                  "body: hypergraph (Content-Type selects HG text, binary, \
                   SQL or XCSP3); query: k, method \
-                  (hd|balsep|parbalsep|localbip|globalbip|portfolio), \
+                  (hd|balsep|localbip|globalbip|portfolio), \
                   timeout (seconds), fuel") ]) ])
 
 let handler cfg =

@@ -66,12 +66,8 @@ val handler : config -> Serve.Http.request -> Serve.Http.response
     - [GET /metrics] — Prometheus text rendering of {!Kit.Metrics};
     - [POST /decompose?k=..&method=..&timeout=..&fuel=..] — solve.
 
-    [method] is one of [hd] (default), [balsep], [parbalsep],
-    [localbip], [globalbip], [portfolio]; all but [hd] require [k].
-    [parbalsep] is the work-stealing {!Ghd.Par_bal_sep}: it uses the
-    [HB_JOBS] pool width only under [HB_ISOLATE] (the solve runs in a
-    forked child there); in-process it pins jobs to 1, because domains
-    spawned in the daemon would permanently break [Unix.fork]. Without [k],
+    [method] is one of [hd] (default), [balsep], [localbip],
+    [globalbip], [portfolio]; all but [hd] require [k]. Without [k],
     [hd] runs the width ladder [k = 1..max_k]. [fuel] switches to the
     deterministic fuel budget (tests). Errors: 400 bad parameters, 404 /
     405 routing, 415 unknown content type, 422 unparseable payload, 500

@@ -12,21 +12,8 @@ type context = {
   stats : Kit.Metrics.snapshot;
 }
 
-(* With intra-instance parallelism enabled, the ghd pass hands each
-   parallel member the domains the pool would otherwise leave idle: when
-   the record shard is narrower than the pool, the leftover width goes to
-   Par_bal_sep; when there are at least as many records as domains, every
-   domain is busy with its own instance and members stay sequential. *)
-let intra_width ~intra ?jobs n_records =
-  if not intra then 1
-  else
-    let pool =
-      match jobs with Some j -> j | None -> Kit.Pool.default_jobs ()
-    in
-    max 1 (pool / max 1 n_records)
-
 let prepare ?(seed = 2019) ?(scale = 1.0) ?(budget_seconds = 1.0) ?budget
-    ?(max_k = 8) ?jobs ?(intra = false) ?cache () =
+    ?(max_k = 8) ?jobs ?cache () =
   let budget =
     match budget with
     | Some b -> b
@@ -34,8 +21,7 @@ let prepare ?(seed = 2019) ?(scale = 1.0) ?(budget_seconds = 1.0) ?budget
   in
   let instances = Repository.build ~seed ~scale () in
   let records = Analysis.analyze ~budget ~max_k ?jobs ?cache instances in
-  let intra_jobs = intra_width ~intra ?jobs (List.length records) in
-  let ghd = Analysis.ghd_comparison ~budget ?jobs ~intra_jobs records in
+  let ghd = Analysis.ghd_comparison ~budget ?jobs records in
   let frac = Analysis.fractional ~budget ?jobs records in
   { instances; records; ghd; frac; stats = Kit.Metrics.snapshot () }
 
@@ -726,8 +712,8 @@ let escalating_budget ?fuel seconds =
   ((fun () -> at 0), fun ~attempt () -> at attempt)
 
 let prepare_campaign ?(seed = 2019) ?(scale = 1.0) ?(budget_seconds = 1.0)
-    ?budget ?budget_for ?retries ?mem_mb ?(max_k = 8) ?jobs ?(intra = false)
-    ?isolate ?wall ?shard ?cache ?journal ?(resume = false) () =
+    ?budget ?budget_for ?retries ?mem_mb ?(max_k = 8) ?jobs ?isolate ?wall
+    ?shard ?cache ?journal ?(resume = false) () =
   let budget =
     match budget with
     | Some b -> b
@@ -837,8 +823,7 @@ let prepare_campaign ?(seed = 2019) ?(scale = 1.0) ?(budget_seconds = 1.0)
       let records =
         List.filter_map (fun t -> Kit.Outcome.get t.Analysis.result) tasks
       in
-      let intra_jobs = intra_width ~intra ?jobs (List.length records) in
-      let ghd = Analysis.ghd_comparison ~budget ?jobs ~intra_jobs records in
+      let ghd = Analysis.ghd_comparison ~budget ?jobs records in
       let frac = Analysis.fractional ~budget ?jobs records in
       Ok
         {

@@ -26,7 +26,6 @@ val prepare :
   ?budget:(unit -> Kit.Deadline.t) ->
   ?max_k:int ->
   ?jobs:int ->
-  ?intra:bool ->
   ?cache:Benchlib.Result_cache.t ->
   unit ->
   context
@@ -42,13 +41,7 @@ val prepare :
     pool interleaving; with a wall-clock budget, runs close to the
     timeout boundary remain timing-sensitive (between any two runs, at
     any [jobs]), while a fuel budget makes the tables identical at every
-    [jobs] value.
-
-    [intra] (default false; the [HB_INTRA] knob) adds the intra-parallel
-    {!Ghd.Par_bal_sep} member to the ghd comparison, giving it the
-    domains the pool would otherwise idle:
-    [intra_jobs = max 1 (jobs / records)]. When the repository is at
-    least as wide as the pool this stays 1 and the pass is unchanged. *)
+    [jobs] value. *)
 
 val table1 : context -> string
 (** Benchmark overview: instances and cyclic counts per source. *)
@@ -133,7 +126,6 @@ val prepare_campaign :
   ?mem_mb:int ->
   ?max_k:int ->
   ?jobs:int ->
-  ?intra:bool ->
   ?isolate:bool ->
   ?wall:(attempt:int -> float) ->
   ?shard:int * int ->

@@ -12,7 +12,7 @@ let m_subedge_phases = Metrics.counter "balsep.subedge_phases"
 (* One observation per expanded recursion node, at its depth. Balanced
    separators halve the subproblem, so the histogram concentrates in the
    logarithmic buckets — the empirical check of the "logarithmic
-   recursion depth" claim, and the payload of BENCH_intra.json. *)
+   recursion depth" claim. *)
 let m_depth = Metrics.histogram "balsep.depth" ~buckets:[| 1; 2; 4; 8; 16; 24; 32; 48 |]
 
 type answer = {
@@ -25,12 +25,8 @@ type answer = {
    the same vertex set. The id is the recursion depth of the node that
    created the edge: the specials visible to any subproblem were created
    one per ancestor, at pairwise-distinct depths, so ids never collide
-   where it matters — and unlike a shared counter, the scheme is a pure
-   function of the subtree, identical however subproblems are scheduled
-   across domains. *)
+   where it matters. *)
 type special = { sid : int; verts : Bitset.t }
-
-type subproblem = { comp : Bitset.t; sp : special list }
 
 let special_label s = Printf.sprintf "__special_%d" s.sid
 
@@ -79,11 +75,9 @@ let reroot root ~pred =
 (* Function BuildGHD: make the node (bag, cover) and graft each child
    decomposition. The connecting special edge appears in each child either
    as a dedicated leaf with λ = {s} — re-root there, drop the leaf and
-   attach its neighbours — or swallowed by some larger bag B ⊇ s (also the
-   shape the Detk base case of Par_bal_sep produces, which covers special
-   edges without materialising leaves for them), in which case we re-root
-   at that node and attach it whole (it shares all of s with our bag, so
-   connectedness is preserved). *)
+   attach its neighbours — or swallowed by some larger bag B ⊇ s, in which
+   case we re-root at that node and attach it whole (it shares all of s
+   with our bag, so connectedness is preserved). *)
 let build_ghd bag cover ~special_lab ~special_verts children : Decomp.node =
   let is_special_leaf (u : Decomp.node) =
     match u.cover with
@@ -107,12 +101,10 @@ let build_ghd bag cover ~special_lab ~special_verts children : Decomp.node =
   in
   { bag; cover; children = grafted }
 
-(* Everything one (single-domain) search region needs. Par_bal_sep makes
-   one env per subtask: the failed-subproblem memo and the lazy subedge
-   pool are private to the task — shared mutable state there would make
-   counters depend on the steal schedule — while [exact] is a shared
-   atomic (monotone false-once-false, so the merged value is
-   schedule-independent). *)
+(* Everything one search carries: the failed-subproblem memo, the
+   candidate pools (the subedge pool is generated lazily, on the first
+   fallback), the deadline and the width. [exact] drops to false once a
+   truncated subedge pool makes a "no" answer untrustworthy. *)
 type env = {
   h : Hypergraph.t;
   k : int;
@@ -120,58 +112,26 @@ type env = {
   deadline : Deadline.t;
   memoize : bool;
   use_subedges : bool;
+  expand_limit : int option;
+  max_subedges : int option;
   failed : (int list list, unit) Hashtbl.t;
   edge_candidates : Detk.candidate array;
-  get_subedges : unit -> Detk.candidate array;
+  mutable subedges : Detk.candidate array option;
+  mutable exact : bool;
 }
 
-let make_env ?(deadline = Deadline.none) ?(memoize = true)
-    ?(use_subedges = true) ?expand_limit ?max_subedges ?edge_candidates
-    ?(exact = Atomic.make true) ?get_subedges h ~k =
-  if k < 1 then invalid_arg "Bal_sep.make_env: k must be >= 1";
-  let edge_candidates =
-    match edge_candidates with
-    | Some a -> a
-    | None -> Array.of_list (Detk.candidates_of_edges h)
-  in
-  (* The subedge pool is generated lazily, once per env, on first
-     fallback — unless the caller supplies a shared pool ([Par_bal_sep]
-     does: f(H,k) depends only on the instance and the width, so the
-     subtask envs can share one copy instead of each rebuilding it). *)
-  let get_subedges =
-    match get_subedges with
-    | Some f -> f
-    | None ->
-        let subedge_pool = ref None in
-        fun () ->
-          (match !subedge_pool with
-          | Some p -> p
-          | None ->
-              let { Subedges.candidates; complete } =
-                Subedges.f_global ~deadline ?expand_limit ?max_subedges h ~k
-              in
-              if not complete then Atomic.set exact false;
-              let arr = Array.of_list candidates in
-              subedge_pool := Some arr;
-              arr)
-  in
-  {
-    h;
-    k;
-    nv = h.Hypergraph.n_vertices;
-    deadline;
-    memoize;
-    use_subedges;
-    failed = Hashtbl.create 128;
-    edge_candidates;
-    get_subedges;
-  }
-
-let env_deadline env = env.deadline
-let env_edge_candidates env = env.edge_candidates
-let env_subedges env = env.get_subedges ()
-let env_memoize env = env.memoize
-let env_use_subedges env = env.use_subedges
+let subedges env =
+  match env.subedges with
+  | Some p -> p
+  | None ->
+      let { Subedges.candidates; complete } =
+        Subedges.f_global ~deadline:env.deadline ?expand_limit:env.expand_limit
+          ?max_subedges:env.max_subedges env.h ~k:env.k
+      in
+      if not complete then env.exact <- false;
+      let arr = Array.of_list candidates in
+      env.subedges <- Some arr;
+      arr
 
 let memo_key h' sp =
   let sets = Bitset.to_list h' :: List.map (fun s -> Bitset.to_list s.verts) sp in
@@ -181,23 +141,20 @@ let fresh_special ~depth verts =
   Metrics.incr m_special_edges;
   { sid = depth; verts }
 
-(* Decompose one node of the recursion. All child subproblems — the
-   B(λ)-components of a balanced separator — go through [solve_children],
-   which receives them as one batch: the sequential solver recurses over
-   them in order with early abort, the parallel solver forks them as
-   work-stealing subtasks. *)
-let rec decompose_with env ~solve_children ~depth h' sp : Decomp.node option =
+(* Decompose one node of the recursion: the extended subhypergraph of the
+   ordinary edges [h'] and the special edges [sp]. *)
+let rec decompose env ~depth h' sp : Decomp.node option =
   Deadline.check env.deadline;
   Metrics.observe m_depth depth;
   let key = memo_key h' sp in
   if env.memoize && Hashtbl.mem env.failed key then None
   else begin
-    let r = attempt env ~solve_children ~depth h' sp in
+    let r = attempt env ~depth h' sp in
     if r = None && env.memoize then Hashtbl.replace env.failed key ();
     r
   end
 
-and attempt env ~solve_children ~depth h' sp =
+and attempt env ~depth h' sp =
   let h = env.h in
   let k = env.k in
   let n_ord = Bitset.cardinal h' in
@@ -282,13 +239,17 @@ and attempt env ~solve_children ~depth h' sp =
           Hg.Components.components_extended h ~within:h' ~special:sp_arr bag
         in
         let s = fresh_special ~depth bag in
-        let subs =
-          List.map
-            (fun (es, sps) ->
-              { comp = es; sp = s :: List.map (fun i -> sp_idx.(i)) sps })
-            comps
+        (* Solve the components in order; the first failure rejects the
+           separator. *)
+        let rec solve_children = function
+          | [] -> Some []
+          | (es, sps) :: rest -> (
+              let sp = s :: List.map (fun i -> sp_idx.(i)) sps in
+              match decompose env ~depth:(depth + 1) es sp with
+              | None -> None
+              | Some d -> Option.map (fun ds -> d :: ds) (solve_children rest))
         in
-        match solve_children ~depth:(depth + 1) subs with
+        match solve_children comps with
         | None -> None
         | Some children ->
             let cover =
@@ -355,7 +316,7 @@ and attempt env ~solve_children ~depth h' sp =
         if not env.use_subedges then None
         else begin
           Metrics.incr m_subedge_phases;
-          let subs = env.get_subedges () in
+          let subs = subedges env in
           if Array.length subs = 0 then None
           else
             enumerate
@@ -364,29 +325,24 @@ and attempt env ~solve_children ~depth h' sp =
         end
   end
 
-(* Plain sequential recursion: children solved in order, first failure
-   aborts the batch. *)
-let rec solve_extended env ~depth h' sp =
-  let solve_children ~depth subs =
-    let rec go = function
-      | [] -> Some []
-      | { comp; sp } :: rest -> (
-          match solve_extended env ~depth comp sp with
-          | None -> None
-          | Some d -> (
-              match go rest with None -> None | Some ds -> Some (d :: ds)))
-    in
-    go subs
-  in
-  decompose_with env ~solve_children ~depth h' sp
-
 let solve ?(deadline = Deadline.none) ?(memoize = true) ?(use_subedges = true)
     ?expand_limit ?max_subedges h ~k =
   if k < 1 then invalid_arg "Bal_sep.solve: k must be >= 1";
-  let exact = Atomic.make true in
   let env =
-    make_env ~deadline ~memoize ~use_subedges ?expand_limit ?max_subedges
-      ~exact h ~k
+    {
+      h;
+      k;
+      nv = h.Hypergraph.n_vertices;
+      deadline;
+      memoize;
+      use_subedges;
+      expand_limit;
+      max_subedges;
+      failed = Hashtbl.create 128;
+      edge_candidates = Array.of_list (Detk.candidates_of_edges h);
+      subedges = None;
+      exact = true;
+    }
   in
   let all = Hypergraph.all_edges h in
   if Bitset.is_empty all then
@@ -397,8 +353,8 @@ let solve ?(deadline = Deadline.none) ?(memoize = true) ?(use_subedges = true)
       exact = true;
     }
   else
-    match solve_extended env ~depth:0 all [] with
+    match decompose env ~depth:0 all [] with
     | Some d ->
         { outcome = Detk.Decomposition (Global_bip.fix_covers h d); exact = true }
-    | None -> { outcome = Detk.No_decomposition; exact = Atomic.get exact }
+    | None -> { outcome = Detk.No_decomposition; exact = env.exact }
     | exception Deadline.Timed_out -> { outcome = Detk.Timeout; exact = false }

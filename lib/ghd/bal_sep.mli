@@ -30,86 +30,3 @@ val solve :
 (** [use_subedges] (default true) enables the f(H,k) fallback phase of the
     separator iterator; switching it off gives the ablation variant that
     searches over full edges only (sound, possibly incomplete). *)
-
-(** {1 Shared search core}
-
-    The pieces {!Par_bal_sep} builds its work-stealing recursion out of.
-    The geometry of the algorithm — balanced separators split the
-    extended subhypergraph into components that share nothing but the
-    separator bag — is what makes the subproblems independently solvable;
-    these entry points expose that seam without committing to a schedule. *)
-
-type special = { sid : int; verts : Kit.Bitset.t }
-(** A special edge. [sid] is the recursion depth of the creating node —
-    unique along any root-to-leaf path (the only place labels must not
-    collide) and independent of scheduling order. *)
-
-type subproblem = { comp : Kit.Bitset.t; sp : special list }
-(** One B(λ)-component: its ordinary edges and its special edges (the
-    fresh separator special first). *)
-
-type env
-(** Everything one single-domain search region carries: the failed-
-    subproblem memo, the candidate pools (the subedge pool is lazy, per
-    env), deadline, and width. Never share an env across domains — make
-    one per subtask; pass [~edge_candidates] to share the immutable
-    full-edge pool and [~exact] to share the completeness flag. *)
-
-val make_env :
-  ?deadline:Kit.Deadline.t ->
-  ?memoize:bool ->
-  ?use_subedges:bool ->
-  ?expand_limit:int ->
-  ?max_subedges:int ->
-  ?edge_candidates:Detk.candidate array ->
-  ?exact:bool Atomic.t ->
-  ?get_subedges:(unit -> Detk.candidate array) ->
-  Hg.Hypergraph.t ->
-  k:int ->
-  env
-(** [get_subedges] overrides the env-private lazy f(H,k) pool — how the
-    parallel solver shares one pool across all subtask envs (the pool is
-    a pure function of [(h, k)], so sharing cannot introduce
-    schedule-dependence; the override is responsible for the [exact]
-    flag when its pool is truncated). *)
-
-val env_deadline : env -> Kit.Deadline.t
-val env_edge_candidates : env -> Detk.candidate array
-
-val env_subedges : env -> Detk.candidate array
-(** Forces the f(H,k) pool for this env (clearing the shared [exact] flag
-    if truncated) and returns it. *)
-
-val env_memoize : env -> bool
-val env_use_subedges : env -> bool
-
-val decompose_with :
-  env ->
-  solve_children:(depth:int -> subproblem list -> Decomp.node list option) ->
-  depth:int ->
-  Kit.Bitset.t ->
-  special list ->
-  Decomp.node option
-(** Expand one node: enumerate balanced separators in the canonical order
-    and hand each accepted separator's components to [solve_children] as
-    a batch ([Some] = all solved, in order; [None] rejects the
-    separator). The sequential solver recurses in order with early abort;
-    the parallel solver forks the batch. Memoisation, metrics
-    ([balsep.*], including the [balsep.depth] histogram) and deadline
-    polls — per node and every 16 candidate consultations inside the
-    enumeration loop — live here, identically for every schedule. *)
-
-val solve_extended :
-  env -> depth:int -> Kit.Bitset.t -> special list -> Decomp.node option
-(** Sequential recursion over {!decompose_with}: the base case the
-    parallel solver falls back to, and the whole of {!solve}. *)
-
-val special_label : special -> string
-val special_leaf : special -> Decomp.node
-val build_ghd :
-  Kit.Bitset.t ->
-  Decomp.cover_elt list ->
-  special_lab:string ->
-  special_verts:Kit.Bitset.t ->
-  Decomp.node list ->
-  Decomp.node

@@ -5,8 +5,7 @@ type algorithm =
   | Global_bip_alg
 
 let algorithm_name = function
-  | Bal_sep_alg -> "BalSep"
-  | Par_bal_sep_alg -> "ParBalSep"
+  | Bal_sep_alg | Par_bal_sep_alg -> "BalSep"
   | Local_bip_alg -> "LocalBIP"
   | Global_bip_alg -> "GlobalBIP"
 
@@ -19,7 +18,6 @@ type verdict =
    take to notice the winner's cancellation (Kit.Metrics; recorded only
    when enabled). *)
 let m_win_balsep = Kit.Metrics.counter "portfolio.wins.balsep"
-let m_win_parbalsep = Kit.Metrics.counter "portfolio.wins.parbalsep"
 let m_win_localbip = Kit.Metrics.counter "portfolio.wins.localbip"
 let m_win_globalbip = Kit.Metrics.counter "portfolio.wins.globalbip"
 let m_all_timeout = Kit.Metrics.counter "portfolio.all_timeout"
@@ -32,8 +30,7 @@ let record_verdict v =
   | Yes (_, alg) | No alg ->
       Kit.Metrics.incr
         (match alg with
-        | Bal_sep_alg -> m_win_balsep
-        | Par_bal_sep_alg -> m_win_parbalsep
+        | Bal_sep_alg | Par_bal_sep_alg -> m_win_balsep
         | Local_bip_alg -> m_win_localbip
         | Global_bip_alg -> m_win_globalbip)
   | All_timeout -> Kit.Metrics.incr m_all_timeout);
@@ -41,10 +38,9 @@ let record_verdict v =
 
 let default_budget () = Kit.Deadline.none
 
-let solve_with ?(intra_jobs = 1) alg ~deadline h ~k =
+let solve alg ~deadline h ~k =
   match alg with
-  | Bal_sep_alg -> Bal_sep.solve ~deadline h ~k
-  | Par_bal_sep_alg -> Par_bal_sep.solve ~jobs:intra_jobs ~deadline h ~k
+  | Bal_sep_alg | Par_bal_sep_alg -> Bal_sep.solve ~deadline h ~k
   | Local_bip_alg ->
       let { Local_bip.outcome; exact } = Local_bip.solve ~deadline h ~k in
       { Bal_sep.outcome; exact }
@@ -54,8 +50,7 @@ let solve_with ?(intra_jobs = 1) alg ~deadline h ~k =
 
 let fault_site alg =
   match alg with
-  | Bal_sep_alg -> "portfolio.balsep"
-  | Par_bal_sep_alg -> "portfolio.parbalsep"
+  | Bal_sep_alg | Par_bal_sep_alg -> "portfolio.balsep"
   | Local_bip_alg -> "portfolio.localbip"
   | Global_bip_alg -> "portfolio.globalbip"
 
@@ -64,11 +59,11 @@ let fault_site alg =
    portfolio.member_crash and simply contributes no verdict — the
    survivors still race to an answer, matching the paper's "first answer
    wins, losers are discarded" protocol under partial failure. *)
-let decide ?intra_jobs alg ~deadline h ~k =
+let decide alg ~deadline h ~k =
   match
     Kit.Guard.run (fun () ->
         Kit.Fault.hit (fault_site alg);
-        solve_with ?intra_jobs alg ~deadline h ~k)
+        solve alg ~deadline h ~k)
   with
   | Kit.Outcome.Ok { Bal_sep.outcome; exact } -> (
       match outcome with
@@ -82,19 +77,18 @@ let decide ?intra_jobs alg ~deadline h ~k =
       None
 
 let order = [ Bal_sep_alg; Local_bip_alg; Global_bip_alg ]
-let order_with_intra = Par_bal_sep_alg :: order
 
-let check ?(budget = default_budget) ?(members = order) ?intra_jobs h ~k =
+let check ?(budget = default_budget) ?(members = order) h ~k =
   let rec first = function
     | [] -> All_timeout
     | alg :: rest -> (
-        match decide ?intra_jobs alg ~deadline:(budget ()) h ~k with
+        match decide alg ~deadline:(budget ()) h ~k with
         | Some v -> v
         | None -> first rest)
   in
   record_verdict (first members)
 
-let race ?(budget = default_budget) ?(members = order) ?intra_jobs h ~k =
+let race ?(budget = default_budget) ?(members = order) h ~k =
   let flag = Kit.Deadline.new_cancel () in
   (* Wall-clock instant the winner pulled the flag: written before the
      cancel itself, so any loser that observed a cancelled flag also sees
@@ -102,7 +96,7 @@ let race ?(budget = default_budget) ?(members = order) ?intra_jobs h ~k =
   let cancel_at = Atomic.make neg_infinity in
   let run alg =
     let deadline = Kit.Deadline.with_cancel flag (budget ()) in
-    let v = decide ?intra_jobs alg ~deadline h ~k in
+    let v = decide alg ~deadline h ~k in
     (* First exact verdict wins: abort the siblings at their next
        Deadline.check. Losers surface as timeouts, exactly as if their
        budget had run out. A loser never records search metrics after its
@@ -151,14 +145,10 @@ let race_isolated ?(budget = default_budget) ?(members = order) ?mem_mb ?wall
      a tight pivot loop cannot outlive the winner. Killed losers come
      back as [Timeout], exactly as if their budget had run out. *)
   let completions =
-    (* Members run intra-sequentially here on purpose: the worker ships
-       its per-instance metrics delta back from the child, and domains
-       spawned inside the child would record outside that delta — an
-       intra-parallel member belongs in [race], not under isolation. *)
     Kit.Proc.run ~jobs:(List.length members) ?mem_mb
       ~wall:(fun ~attempt:_ -> wall)
       ~halt_on:(function Kit.Outcome.Ok (Some _) -> true | _ -> false)
-      (fun ~attempt:_ alg -> decide ~intra_jobs:1 alg ~deadline:(budget ()) h ~k)
+      (fun ~attempt:_ alg -> decide alg ~deadline:(budget ()) h ~k)
       (Array.of_list members)
   in
   (* Reduce in the fixed algorithm order (same tie-break as [race]). A

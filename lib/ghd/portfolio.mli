@@ -6,7 +6,11 @@
 
 type algorithm =
   | Bal_sep_alg
-  | Par_bal_sep_alg  (** {!Par_bal_sep}: intra-parallel BalSep *)
+  | Par_bal_sep_alg
+      (** Retired: the intra-parallel BalSep is gone. No member list, CLI
+          method or daemon method produces this constructor; it is kept
+          only so that existing matches on it still compile, and every
+          function here treats it exactly as {!Bal_sep_alg}. *)
   | Local_bip_alg
   | Global_bip_alg
 
@@ -20,36 +24,33 @@ type verdict =
 val order : algorithm list
 (** The paper's three-member portfolio (the default [members]). *)
 
-val order_with_intra : algorithm list
-(** [order] with {!Par_bal_sep_alg} in front — the [HB_INTRA=1]
-    portfolio. The parallel member uses [intra_jobs] domains. *)
+val solve :
+  algorithm -> deadline:Kit.Deadline.t -> Hg.Hypergraph.t -> k:int ->
+  Bal_sep.answer
+(** Run one member on Check(GHD,k), unguarded: no containment, no fault
+    site, no win counter. *)
 
 val check :
   ?budget:(unit -> Kit.Deadline.t) ->
   ?members:algorithm list ->
-  ?intra_jobs:int ->
   Hg.Hypergraph.t ->
   k:int ->
   verdict
 (** Check(GHD,k) with the portfolio. [budget] produces a fresh deadline per
     algorithm (default: none). Inexact "no" answers (truncated subedge
     sets) are treated as timeouts so that [No] is always trustworthy.
-    [members] (default {!order}) selects and orders the algorithms;
-    [intra_jobs] (default 1) is the domain count handed to
-    {!Par_bal_sep_alg} members.
+    [members] (default {!order}) selects and orders the algorithms.
 
     Containment: every member runs inside {!Kit.Guard.run}, so a member
     that crashes, overflows its stack or trips the [HB_MEM_MB] budget is
     recorded in the ["portfolio.member_crash"] metric and contributes no
     verdict — the remaining members still decide. The fault-injection
-    sites ["portfolio.balsep"], ["portfolio.parbalsep"],
-    ["portfolio.localbip"] and ["portfolio.globalbip"] let tests kill one
-    member deliberately. *)
+    sites ["portfolio.balsep"], ["portfolio.localbip"] and
+    ["portfolio.globalbip"] let tests kill one member deliberately. *)
 
 val race :
   ?budget:(unit -> Kit.Deadline.t) ->
   ?members:algorithm list ->
-  ?intra_jobs:int ->
   Hg.Hypergraph.t ->
   k:int ->
   verdict
@@ -82,11 +83,7 @@ val race_isolated :
     bounds every member's wall-clock run; [mem_mb] (default [HB_MEM_MB])
     is each member's hard memory rlimit. Killed losers are classified as
     timeouts; a member whose process dies abnormally counts toward
-    ["portfolio.member_crash"] and contributes no verdict. Members always
-    run intra-sequentially here (a {!Par_bal_sep_alg} member gets
-    [intra_jobs = 1]): the child ships its per-instance metrics delta to
-    the parent, and domains spawned inside the child would record outside
-    that delta. *)
+    ["portfolio.member_crash"] and contributes no verdict. *)
 
 val ghw_improvement :
   ?budget:(unit -> Kit.Deadline.t) ->

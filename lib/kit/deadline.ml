@@ -1,10 +1,6 @@
 exception Timed_out
 
-(* Cancel flags form a tree: cancelling a flag aborts every deadline
-   holding it or any descendant flag. [Ghd.Par_bal_sep] hangs one flag
-   per fork group off the chain, so a failed sibling, an ancestor group,
-   and an external portfolio cancellation all land at the same polls. *)
-type cancel = { flag : bool Atomic.t; parent : cancel option }
+type cancel = bool Atomic.t
 
 type kind =
   | No_limit
@@ -20,28 +16,20 @@ let now () = Unix.gettimeofday ()
    a deadline value can be handed to several domains without races. *)
 let ticks_key = Domain.DLS.new_key (fun () -> ref 0)
 
-let new_cancel ?parent () : cancel = { flag = Atomic.make false; parent }
+let new_cancel () : cancel = Atomic.make false
 
-let fresh_cancel () = new_cancel ()
-
-let none = { kind = No_limit; started = 0.0; cancel = fresh_cancel () }
+let none = { kind = No_limit; started = 0.0; cancel = new_cancel () }
 
 let of_seconds s =
   let t0 = now () in
-  { kind = Wall (t0 +. s); started = t0; cancel = fresh_cancel () }
+  { kind = Wall (t0 +. s); started = t0; cancel = new_cancel () }
 
 let of_fuel n =
-  { kind = Fuel (Atomic.make n); started = now (); cancel = fresh_cancel () }
+  { kind = Fuel (Atomic.make n); started = now (); cancel = new_cancel () }
 
-let cancel c = Atomic.set c.flag true
-
-let rec is_cancelled (c : cancel) =
-  Atomic.get c.flag
-  || (match c.parent with Some p -> is_cancelled p | None -> false)
-
+let cancel c = Atomic.set c true
+let is_cancelled c = Atomic.get c
 let with_cancel c t = { t with cancel = c }
-
-let cancel_token t = t.cancel
 
 let cancelled t = is_cancelled t.cancel
 
@@ -75,15 +63,3 @@ let fuel_remaining t =
   match t.kind with
   | Fuel r -> Some (Stdlib.max 0 (Atomic.get r))
   | No_limit | Wall _ -> None
-
-let consume_fuel t n =
-  if n > 0 then
-    match t.kind with
-    | Fuel r -> ignore (Atomic.fetch_and_add r (-n))
-    | No_limit | Wall _ -> ()
-
-let refund_fuel t n =
-  if n > 0 then
-    match t.kind with
-    | Fuel r -> ignore (Atomic.fetch_and_add r n)
-    | No_limit | Wall _ -> ()

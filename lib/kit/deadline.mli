@@ -32,22 +32,13 @@ val of_fuel : int -> t
 (** Deterministic budget: times out on the [n]-th {!check}, counted
     atomically across all domains sharing the deadline. *)
 
-val new_cancel : ?parent:cancel -> unit -> cancel
-(** A fresh flag. With [~parent] the flag is chained: {!is_cancelled}
-    reports true as soon as the flag itself {e or any ancestor} is
-    cancelled, so a tree of fork groups (see [Kit.Steal] /
-    [Ghd.Par_bal_sep]) inherits external cancellation for free.
-    Cancelling a child never affects its parent. *)
+val new_cancel : unit -> cancel
+(** A fresh, unset flag. *)
 
 val cancel : cancel -> unit
-(** Make every deadline holding this flag (or a descendant of it) expire
-    immediately. *)
+(** Make every deadline holding this flag expire immediately. *)
 
 val is_cancelled : cancel -> bool
-(** True when the flag or any ancestor flag is cancelled. *)
-
-val cancel_token : t -> cancel
-(** The deadline's own flag — the root to chain fork-group flags onto. *)
 
 val with_cancel : cancel -> t -> t
 (** [with_cancel c t] is [t] with its cancel flag replaced by [c]. The
@@ -80,16 +71,4 @@ val elapsed : t -> float
 
 val fuel_remaining : t -> int option
 (** [Some n] (clamped at 0) for fuel deadlines, [None] for wall-clock and
-    unlimited ones. This is how a scheduler splits a deterministic budget
-    into per-subtask shares (see [Ghd.Par_bal_sep]): read the remainder,
-    hand out private sub-deadlines, and charge the parent with
-    {!consume_fuel}. *)
-
-val consume_fuel : t -> int -> unit
-(** Deduct [n] checks' worth of fuel without raising; the debit is seen
-    by the next {!check}. No-op on non-fuel deadlines and for [n <= 0]. *)
-
-val refund_fuel : t -> int -> unit
-(** Credit [n] checks' worth of fuel back — how a parent task reclaims
-    the unused remainder of its children's shares after joining them.
-    No-op on non-fuel deadlines and for [n <= 0]. *)
+    unlimited ones: how much of a deterministic budget a search left. *)

@@ -223,19 +223,18 @@ let solver_metric n =
   List.exists
     (fun p ->
       String.length n >= String.length p && String.sub n 0 (String.length p) = p)
-    [ "balsep."; "detk."; "parbalsep."; "localbip."; "globalbip."; "subedges." ]
+    [ "balsep."; "detk."; "localbip."; "globalbip."; "subedges." ]
 
 (* A member whose cancel flag is already up contributes nothing to the
    solver counters: Deadline.check raises before any search metric ticks.
-   Pinned for all four members, including the intra-parallel one. *)
+   Pinned for every member. *)
 let cancelled_member_never_ticks () =
   let c = Kit.Deadline.new_cancel () in
   Kit.Deadline.cancel c;
   let budget () = Kit.Deadline.with_cancel c Kit.Deadline.none in
   with_metrics (fun () ->
       (match
-         Ghd.Portfolio.check ~budget ~members:Ghd.Portfolio.order_with_intra
-           ~intra_jobs:4 fano ~k:2
+         Ghd.Portfolio.check ~budget ~members:Ghd.Portfolio.order fano ~k:2
        with
       | Ghd.Portfolio.All_timeout -> ()
       | _ -> Alcotest.fail "expected all-timeout under a cancelled flag");

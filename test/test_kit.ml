@@ -711,144 +711,29 @@ let json_accessors () =
   | Some [ Kit.Json.Bool true; Kit.Json.Null ] -> ()
   | _ -> Alcotest.fail "list accessor"
 
-(* --- pool outcomes ----------------------------------------------------------- *)
-
-(* --- deadline: fuel accounting and cancel chains ------------------------- *)
+(* --- deadline: fuel accounting --------------------------------------------- *)
 
 let deadline_fuel_accounting () =
   let d = Kit.Deadline.of_fuel 100 in
   Alcotest.(check (option int)) "initial" (Some 100) (Kit.Deadline.fuel_remaining d);
-  Kit.Deadline.consume_fuel d 30;
-  Alcotest.(check (option int)) "debited" (Some 70) (Kit.Deadline.fuel_remaining d);
-  Kit.Deadline.refund_fuel d 10;
-  Alcotest.(check (option int)) "credited" (Some 80) (Kit.Deadline.fuel_remaining d);
-  Kit.Deadline.consume_fuel d (-5);
-  Kit.Deadline.refund_fuel d (-5);
-  Alcotest.(check (option int)) "non-positive amounts ignored" (Some 80)
+  for _ = 1 to 30 do Kit.Deadline.check d done;
+  Alcotest.(check (option int)) "one unit per check" (Some 70)
     (Kit.Deadline.fuel_remaining d);
-  Kit.Deadline.consume_fuel d 200;
+  (try
+     while true do Kit.Deadline.check d done
+   with Kit.Deadline.Timed_out -> ());
+  Alcotest.(check (option int)) "exhausted" (Some 0)
+    (Kit.Deadline.fuel_remaining d);
+  Alcotest.check_raises "stays exhausted" Kit.Deadline.Timed_out (fun () ->
+      Kit.Deadline.check d);
   Alcotest.(check (option int)) "clamped at zero" (Some 0)
     (Kit.Deadline.fuel_remaining d);
-  Alcotest.check_raises "exhausted" Kit.Deadline.Timed_out (fun () ->
-      Kit.Deadline.check d);
   Alcotest.(check (option int)) "wall has no fuel" None
     (Kit.Deadline.fuel_remaining (Kit.Deadline.of_seconds 10.0));
   Alcotest.(check (option int)) "none has no fuel" None
     (Kit.Deadline.fuel_remaining Kit.Deadline.none)
 
-let deadline_cancel_chain () =
-  let root = Kit.Deadline.new_cancel () in
-  let mid = Kit.Deadline.new_cancel ~parent:root () in
-  let leaf = Kit.Deadline.new_cancel ~parent:mid () in
-  let sibling = Kit.Deadline.new_cancel ~parent:root () in
-  (* Cancelling a child never touches the parent or a sibling. *)
-  Kit.Deadline.cancel mid;
-  Alcotest.(check bool) "leaf sees ancestor" true (Kit.Deadline.is_cancelled leaf);
-  Alcotest.(check bool) "mid set" true (Kit.Deadline.is_cancelled mid);
-  Alcotest.(check bool) "root untouched" false (Kit.Deadline.is_cancelled root);
-  Alcotest.(check bool) "sibling untouched" false
-    (Kit.Deadline.is_cancelled sibling);
-  (* Cancelling the root reaches every descendant. *)
-  Kit.Deadline.cancel root;
-  Alcotest.(check bool) "sibling sees root" true
-    (Kit.Deadline.is_cancelled sibling);
-  let d = Kit.Deadline.with_cancel sibling (Kit.Deadline.of_fuel 1000) in
-  Alcotest.check_raises "chained deadline raises" Kit.Deadline.Timed_out
-    (fun () -> Kit.Deadline.check d)
-
-(* --- steal ---------------------------------------------------------------- *)
-
-let rec seq_fib n = if n < 2 then n else seq_fib (n - 1) + seq_fib (n - 2)
-
-let steal_fib jobs () =
-  let got =
-    Kit.Steal.run ~jobs (fun sched ->
-        let rec fib n =
-          if n < 10 then seq_fib n
-          else
-            let a = Kit.Steal.fork sched (fun () -> fib (n - 1)) in
-            let b = fib (n - 2) in
-            Kit.Steal.join sched a + b
-        in
-        fib 22)
-  in
-  Alcotest.(check int) (Printf.sprintf "fib 22 at jobs=%d" jobs) (seq_fib 22) got
-
-let steal_every_task_runs_once () =
-  (* 200 forked tasks each tick a private cell exactly once, whatever the
-     schedule. *)
-  List.iter
-    (fun jobs ->
-      let cells = Array.init 200 (fun _ -> Atomic.make 0) in
-      Kit.Steal.run ~jobs (fun sched ->
-          let ps =
-            Array.mapi
-              (fun i c -> Kit.Steal.fork sched (fun () -> Atomic.incr c; i))
-              cells
-          in
-          Array.iteri
-            (fun i p ->
-              Alcotest.(check int) "result in order" i
-                (Kit.Steal.join sched p))
-            ps);
-      Array.iter
-        (fun c ->
-          Alcotest.(check int)
-            (Printf.sprintf "exactly once at jobs=%d" jobs)
-            1 (Atomic.get c))
-        cells)
-    [ 1; 4 ]
-
-let steal_exception_propagates () =
-  List.iter
-    (fun jobs ->
-      Alcotest.check_raises
-        (Printf.sprintf "jobs=%d" jobs)
-        (Failure "task blew up")
-        (fun () ->
-          Kit.Steal.run ~jobs (fun sched ->
-              let p =
-                Kit.Steal.fork sched (fun () -> failwith "task blew up")
-              in
-              Kit.Steal.join sched p)))
-    [ 1; 4 ]
-
-let steal_nested_runs () =
-  let got =
-    Kit.Steal.run ~jobs:2 (fun outer ->
-        let p =
-          Kit.Steal.fork outer (fun () ->
-              Kit.Steal.run ~jobs:2 (fun inner ->
-                  let q = Kit.Steal.fork inner (fun () -> 21) in
-                  Kit.Steal.join inner q * 2))
-        in
-        Kit.Steal.join outer p)
-  in
-  Alcotest.(check int) "inner crew result" 42 got
-
-let steal_jobs1_spawns_nothing () =
-  Kit.Steal.run ~jobs:1 (fun sched ->
-      Alcotest.(check int) "crew of one" 1 (Kit.Steal.jobs sched);
-      let self = Domain.self () in
-      let p = Kit.Steal.fork sched (fun () -> Domain.self ()) in
-      Alcotest.(check bool) "task ran on the caller's domain" true
-        (Kit.Steal.join sched p = self))
-
-let steal_stats_balance () =
-  Kit.Steal.run ~jobs:4 (fun sched ->
-      let ps =
-        List.init 64 (fun i -> Kit.Steal.fork sched (fun () -> i * i))
-      in
-      List.iteri
-        (fun i p -> Alcotest.(check int) "square" (i * i) (Kit.Steal.join sched p))
-        ps;
-      let s = Kit.Steal.stats sched in
-      Alcotest.(check int) "all forks executed" s.Kit.Steal.forked
-        s.Kit.Steal.executed;
-      Alcotest.(check bool) "steals never exceed executions" true
-        (s.Kit.Steal.stolen <= s.Kit.Steal.executed);
-      Alcotest.(check bool) "inlined never exceed executions" true
-        (s.Kit.Steal.inlined <= s.Kit.Steal.executed))
+(* --- pool outcomes ----------------------------------------------------------- *)
 
 let pool_run_outcome () =
   let tasks = Array.init 20 Fun.id in
@@ -1055,20 +940,6 @@ let () =
           Alcotest.test_case "cancel across domains" `Quick
             deadline_cancel_across_domains;
           Alcotest.test_case "fuel accounting" `Quick deadline_fuel_accounting;
-          Alcotest.test_case "cancel chain" `Quick deadline_cancel_chain;
-        ] );
-      ( "steal",
-        [
-          Alcotest.test_case "fork/join fib jobs=1" `Quick (steal_fib 1);
-          Alcotest.test_case "fork/join fib jobs=4" `Quick (steal_fib 4);
-          Alcotest.test_case "every task runs once" `Quick
-            steal_every_task_runs_once;
-          Alcotest.test_case "exceptions propagate" `Quick
-            steal_exception_propagates;
-          Alcotest.test_case "nested runs" `Quick steal_nested_runs;
-          Alcotest.test_case "jobs=1 stays on caller" `Quick
-            steal_jobs1_spawns_nothing;
-          Alcotest.test_case "stats balance" `Quick steal_stats_balance;
         ] );
       ( "pool",
         [
