@@ -7,44 +7,89 @@ module Frac_cover = struct
 
   let eps = 1e-7
 
-  let rho_star ?edges h x =
-    if Bitset.is_empty x then Some { weight = 0.0; gamma = [] }
+  let fail what =
+    failwith ("Fhd.Frac_cover: duality certificate failed: " ^ what)
+
+  (* Per-domain scratch: the LP's 0/1 matrix, row-major (row i is
+     candidate edge cands.(i), column j vertex xs.(j)), and row_of, edge id
+     -> row or -1. *)
+  type scratch = { mutable matrix : Bytes.t; mutable row_of : int array }
+
+  let scratch =
+    Domain.DLS.new_key (fun () -> { matrix = Bytes.empty; row_of = [||] })
+
+  (* Solves the packing dual of ρ*(X). [None], without solving, when some
+     vertex of X lies in no candidate edge. *)
+  let solve ?edges h x =
+    let pool =
+      match edges with Some e -> e | None -> Hypergraph.all_edges h
+    in
+    let cands = Bitset.inter pool (Hypergraph.edges_touching h x) in
+    if not (Bitset.subset x (Hypergraph.vertices_of_edges h cands)) then None
     else begin
-      let candidate_pool =
-        match edges with Some e -> e | None -> Hypergraph.all_edges h
+      let cands = Array.of_list (Bitset.to_list cands) in
+      let xs = Array.of_list (Bitset.to_list x) in
+      let ne = Array.length cands and nv = Array.length xs in
+      let s = Domain.DLS.get scratch in
+      if Bytes.length s.matrix < ne * nv then
+        s.matrix <- Bytes.create (ne * nv);
+      if Array.length s.row_of < h.Hypergraph.n_edges then
+        s.row_of <- Array.make h.Hypergraph.n_edges (-1);
+      let matrix = s.matrix and row_of = s.row_of in
+      Bytes.fill matrix 0 (ne * nv) '\000';
+      Array.iteri (fun i e -> row_of.(e) <- i) cands;
+      let j = ref 0 in
+      let mark e =
+        let i = row_of.(e) in
+        if i >= 0 then Bytes.set matrix ((i * nv) + !j) '\001'
       in
-      (* Only edges meeting X can contribute. *)
-      let cands =
-        Bitset.to_list (Bitset.inter candidate_pool (Hypergraph.edges_touching h x))
-      in
-      let n = List.length cands in
-      if n = 0 then None
-      else begin
-        let cand_arr = Array.of_list cands in
-        let rows =
-          Bitset.fold
-            (fun v acc ->
-              let row =
-                Array.map
-                  (fun e -> if Bitset.mem v (Hypergraph.edge h e) then 1.0 else 0.0)
-                  cand_arr
-              in
-              (row, Lp.Ge, 1.0) :: acc)
-            x []
-        in
-        (* A vertex of X in no candidate edge yields an all-zero >=1 row,
-           which the solver correctly reports as infeasible. *)
-        match Lp.minimize (Array.make n 1.0) rows with
-        | Lp.Optimal { value; x = sol } ->
-            let gamma = ref [] in
-            Array.iteri
-              (fun i w -> if w > eps then gamma := (cand_arr.(i), w) :: !gamma)
-              sol;
-            Some { weight = value; gamma = List.rev !gamma }
-        | Lp.Infeasible -> None
-        | Lp.Unbounded -> assert false (* covering objective is >= 0 *)
-      end
+      while !j < nv do
+        Bitset.iter mark h.Hypergraph.incidence.(xs.(!j));
+        incr j
+      done;
+      Array.iter (fun e -> row_of.(e) <- -1) cands;
+      let inc i j = Bytes.get matrix ((i * nv) + j) <> '\000' in
+      Some (inc, cands, xs, Lp.pack ~rows:ne ~cols:nv inc)
     end
+
+  (* Float duality certificate: γ >= 0 covers X, y >= 0 packs every
+     candidate edge, and Σγ = Σy = value, all within [eps]. By weak
+     duality value is then ρ*(X) up to [eps]. Plain loops over float refs:
+     a fold would box every partial sum. *)
+  let certify inc ~ne ~nv { Lp.value; gamma; y } =
+    let sg = ref 0.0 and sy = ref 0.0 in
+    for i = 0 to ne - 1 do
+      if gamma.(i) < 0.0 then fail "negative gamma";
+      sg := !sg +. gamma.(i);
+      let load = ref 0.0 in
+      for j = 0 to nv - 1 do
+        if inc i j then load := !load +. y.(j)
+      done;
+      if !load > 1.0 +. eps then fail "y overloads a candidate edge"
+    done;
+    for j = 0 to nv - 1 do
+      if y.(j) < 0.0 then fail "negative y";
+      sy := !sy +. y.(j);
+      let cover = ref 0.0 in
+      for i = 0 to ne - 1 do
+        if inc i j then cover := !cover +. gamma.(i)
+      done;
+      if !cover < 1.0 -. eps then fail "gamma leaves a vertex uncovered"
+    done;
+    if Float.abs (!sg -. value) > eps || Float.abs (!sy -. value) > eps then
+      fail "objectives differ"
+
+  let rho_star ?edges h x =
+    match solve ?edges h x with
+    | None -> None
+    | Some (inc, cands, xs, sol) ->
+        certify inc ~ne:(Array.length cands) ~nv:(Array.length xs) sol;
+        let gamma = ref [] in
+        for i = Array.length cands - 1 downto 0 do
+          let g = sol.Lp.gamma.(i) in
+          if g > eps then gamma := (cands.(i), g) :: !gamma
+        done;
+        Some { weight = sol.Lp.value; gamma = !gamma }
 
   let verify h x { weight; gamma } =
     let total = List.fold_left (fun acc (_, w) -> acc +. w) 0.0 gamma in
@@ -61,34 +106,38 @@ module Frac_cover = struct
            cover >= 1.0 -. 1e-5)
          x
 
-  (* Exact value by rational reconstruction: rationalise every weight and
-     the total, then re-check all constraints in exact arithmetic. *)
+  (* The same certificate in exact arithmetic, on the float pair rounded
+     to denominators <= [max_den]. *)
   let rho_star_exact ?edges ?(max_den = 1024) h x =
-    match rho_star ?edges h x with
+    match solve ?edges h x with
     | None -> None
-    | Some { weight; gamma } ->
-        let rat_gamma =
-          List.map (fun (e, w) -> (e, Rational.of_float_approx ~max_den w)) gamma
+    | Some (inc, cands, xs, sol) ->
+        let ne = Array.length cands and nv = Array.length xs in
+        let q = Array.map (Rational.of_float_approx ~max_den) in
+        let gamma = q sol.Lp.gamma and y = q sol.Lp.y in
+        let zero = Rational.zero and one = Rational.one in
+        let ( >=/ ) a b = Rational.compare a b >= 0 in
+        let sum n f =
+          let s = ref zero in
+          for k = 0 to n - 1 do
+            s := Rational.add !s (f k)
+          done;
+          !s
         in
-        let total =
-          List.fold_left (fun acc (_, w) -> Rational.add acc w) Rational.zero rat_gamma
-        in
-        let covers_exactly =
-          Bitset.for_all
-            (fun v ->
-              let cover =
-                List.fold_left
-                  (fun acc (e, w) ->
-                    if Bitset.mem v (Hypergraph.edge h e) then Rational.add acc w
-                    else acc)
-                  Rational.zero rat_gamma
-              in
-              Rational.compare cover Rational.one >= 0)
-            x
-        in
-        if covers_exactly && Float.abs (Rational.to_float total -. weight) < 1e-4
-        then Some total
-        else None
+        let nonneg = Array.for_all (fun r -> r >=/ zero) in
+        if not (nonneg gamma && nonneg y) then fail "negative weight";
+        for i = 0 to ne - 1 do
+          let load = sum nv (fun j -> if inc i j then y.(j) else zero) in
+          if not (one >=/ load) then fail "y overloads a candidate edge"
+        done;
+        for j = 0 to nv - 1 do
+          let cover = sum ne (fun i -> if inc i j then gamma.(i) else zero) in
+          if not (cover >=/ one) then fail "gamma leaves a vertex uncovered"
+        done;
+        let total = sum ne (Array.get gamma) in
+        if not (Rational.equal total (sum nv (Array.get y))) then
+          fail "objectives differ";
+        Some total
 end
 
 module Improve_hd = struct
@@ -115,12 +164,14 @@ module Frac_improve_hd = struct
     | No_improvement
     | Timeout
 
-  let check ?deadline h ~k ~k' =
-    (* Memoise ρ* per bag: the same bags recur across branches. *)
-    let cache = Hashtbl.create 256 in
-    let rho bag =
-      let key = Bitset.to_list bag in
-      match Hashtbl.find_opt cache key with
+  module Memo = Hashtbl.Make (Bitset)
+
+  (* ρ* per bag, memoised: it does not depend on the threshold, so one
+     table serves a whole tightening loop. *)
+  let memo_rho h =
+    let cache = Memo.create 256 in
+    fun bag ->
+      match Memo.find_opt cache bag with
       | Some v -> v
       | None ->
           let v =
@@ -128,9 +179,10 @@ module Frac_improve_hd = struct
             | Some c -> c.Frac_cover.weight
             | None -> infinity
           in
-          Hashtbl.add cache key v;
+          Memo.add cache bag v;
           v
-    in
+
+  let check_with rho ?deadline h ~k ~k' =
     let bag_filter bag = rho bag <= k' +. 1e-6 in
     match
       Detk.solve_gen ?deadline ~bag_filter
@@ -142,17 +194,20 @@ module Frac_improve_hd = struct
     | Detk.No_decomposition -> No_improvement
     | Detk.Timeout -> Timeout
 
+  let check ?deadline h ~k ~k' = check_with (memo_rho h) ?deadline h ~k ~k'
+
   let best ?deadline ?(step = 0.1) h ~k =
     (* Start from any HD of width <= k, then tighten the threshold. *)
     match Detk.solve ?deadline h ~k with
     | Detk.No_decomposition | Detk.Timeout -> None
     | Detk.Decomposition d ->
         let initial = Improve_hd.improve h d in
+        let rho = memo_rho h in
         let rec tighten best_fhd best_width =
           let target = best_width -. step in
           if target < 1.0 -. 1e-9 then Some (best_fhd, best_width)
           else
-            match check ?deadline h ~k ~k':target with
+            match check_with rho ?deadline h ~k ~k':target with
             | Improved (fhd, w) ->
                 (* The returned width can beat the target; keep tightening
                    from the actually achieved width. *)

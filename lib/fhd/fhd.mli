@@ -16,8 +16,12 @@ module Frac_cover : sig
   val rho_star :
     ?edges:Kit.Bitset.t -> Hg.Hypergraph.t -> Kit.Bitset.t -> t option
   (** ρ*(X) using the given candidate edges (default: all edges of the
-      hypergraph). [None] when X cannot be covered at all (some vertex of
-      X lies in no candidate edge). *)
+      hypergraph), solved as its packing dual by {!Lp.pack}. [None],
+      without solving, when X cannot be covered at all (some vertex of X
+      lies in no candidate edge). Every solve is certified in floats: the
+      cover γ >= 0 covers X, the packing y >= 0 packs every candidate
+      edge, and Σγ = Σy, each within 1e-7.
+      @raise Failure if the certificate fails. *)
 
   val rho_star_exact :
     ?edges:Kit.Bitset.t ->
@@ -25,10 +29,12 @@ module Frac_cover : sig
     Hg.Hypergraph.t ->
     Kit.Bitset.t ->
     Kit.Rational.t option
-  (** Exact rational value of ρ*(X), obtained by rounding the simplex
-      optimum to a small-denominator rational and re-verifying the cover
-      constraints exactly. [None] if no verified reconstruction exists
-      within [max_den] (default 1024) or X is uncoverable. *)
+  (** Exact ρ*(X), proven rather than guessed: γ and y are rationalised
+      (denominators <= [max_den], default 1024) and checked in exact
+      arithmetic — γ >= 0 covers X, y >= 0 packs every candidate edge,
+      and Σγ = Σy — so by weak duality Σγ is ρ*(X). [None] only when X
+      is uncoverable.
+      @raise Failure if the exact certificate fails. *)
 
   val verify : Hg.Hypergraph.t -> Kit.Bitset.t -> t -> bool
   (** Does [gamma] really cover X (within tolerance) with total weight
@@ -69,6 +75,6 @@ module Frac_improve_hd : sig
     (Decomp.Fractional.fhd * float) option
   (** Smallest fractional width reachable (to [step] granularity, default
       0.1) over all HDs of width <= k: repeatedly lowers k' until the
-      check fails or times out. [None] when even the initial HD search
-      fails or times out. *)
+      check fails or times out, with one ρ* memo for the whole loop.
+      [None] when even the initial HD search fails or times out. *)
 end

@@ -1,14 +1,4 @@
-type op = Le | Ge | Eq
-
-type problem = {
-  minimize : bool;
-  objective : float array;
-  rows : (float array * op * float) list;
-}
-
-type solution = { value : float; x : float array }
-
-type result = Optimal of solution | Infeasible | Unbounded
+type solution = { value : float; gamma : float array; y : float array }
 
 let eps = 1e-9
 
@@ -17,194 +7,97 @@ let eps = 1e-9
 let m_pivots = Kit.Metrics.counter "lp.pivots"
 let m_solves = Kit.Metrics.counter "lp.solves"
 
-(* Tableau layout: columns are [structural vars | slack/surplus | artificials],
-   one artificial per row, plus the right-hand side held separately.
-   The initial basis consists of the artificials, so phase 1 always has a
-   feasible start. Bland's rule (smallest eligible index, for entering and
-   for ties on leaving) guarantees termination. *)
-
-type tableau = {
-  m : int;  (* rows *)
-  cols : int;  (* structural + slack columns (artificials excluded) *)
-  total : int;  (* all columns incl. artificials *)
-  t : float array array;  (* m x total *)
-  rhs : float array;
-  basis : int array;  (* basis.(i) = column basic in row i *)
-  art0 : int;  (* first artificial column *)
+(* One flat row-major tableau per domain: rows [0, m) are the constraints,
+   row m holds the reduced costs z_j - c_j; columns are [y | slacks | rhs].
+   Reusing it matters beyond speed: a fresh matrix of more than
+   Max_young_wosize words would be allocated straight into the major heap
+   on every solve. [nz] lists the pivot row's nonzero columns. *)
+type scratch = {
+  mutable t : float array;
+  mutable basis : int array;
+  mutable nz : int array;
 }
 
-let build_tableau n rows =
-  let m = List.length rows in
-  (* Normalise to b >= 0. *)
-  let rows =
-    List.map
-      (fun (a, op, b) ->
-        if Array.length a <> n then invalid_arg "Lp: row length mismatch";
-        if b < 0.0 then
-          ( Array.map (fun x -> -.x) a,
-            (match op with Le -> Ge | Ge -> Le | Eq -> Eq),
-            -.b )
-        else (a, op, b))
-      rows
-  in
-  let n_slack =
-    List.fold_left (fun acc (_, op, _) -> match op with Eq -> acc | Le | Ge -> acc + 1) 0 rows
-  in
-  let cols = n + n_slack in
-  let total = cols + m in
-  let t = Array.make_matrix m total 0.0 in
-  let rhs = Array.make m 0.0 in
-  let basis = Array.make m 0 in
-  let slack = ref n in
-  List.iteri
-    (fun i (a, op, b) ->
-      Array.blit a 0 t.(i) 0 n;
-      (match op with
-      | Le ->
-          t.(i).(!slack) <- 1.0;
-          incr slack
-      | Ge ->
-          t.(i).(!slack) <- -1.0;
-          incr slack
-      | Eq -> ());
-      t.(i).(cols + i) <- 1.0;
-      basis.(i) <- cols + i;
-      rhs.(i) <- b)
-    rows;
-  { m; cols; total; t; rhs; basis; art0 = cols }
+let scratch =
+  Domain.DLS.new_key (fun () -> { t = [||]; basis = [||]; nz = [||] })
 
-let pivot tab ~row ~col =
+(* The pivot row stays sparse (the matrix is 0/1 plus a slack identity),
+   so the elimination only visits its nonzero columns. *)
+let pivot { t; basis; nz } ~w ~m ~row ~col =
   Kit.Metrics.incr m_pivots;
-  let { t; rhs; m; total; basis; _ } = tab in
-  let p = t.(row).(col) in
-  for j = 0 to total - 1 do
-    t.(row).(j) <- t.(row).(j) /. p
-  done;
-  rhs.(row) <- rhs.(row) /. p;
-  for i = 0 to m - 1 do
-    if i <> row then begin
-      let f = t.(i).(col) in
-      if Float.abs f > 0.0 then begin
-        for j = 0 to total - 1 do
-          t.(i).(j) <- t.(i).(j) -. (f *. t.(row).(j))
-        done;
-        rhs.(i) <- rhs.(i) -. (f *. rhs.(row))
-      end
+  let r0 = row * w in
+  let p = t.(r0 + col) in
+  let k = ref 0 in
+  for j = 0 to w - 1 do
+    if t.(r0 + j) <> 0.0 then begin
+      t.(r0 + j) <- t.(r0 + j) /. p;
+      nz.(!k) <- j;
+      incr k
     end
+  done;
+  for i = 0 to m do
+    let i0 = i * w in
+    let f = t.(i0 + col) in
+    if i <> row && f <> 0.0 then
+      for q = 0 to !k - 1 do
+        let j = nz.(q) in
+        t.(i0 + j) <- t.(i0 + j) -. (f *. t.(r0 + j))
+      done
   done;
   basis.(row) <- col
 
-(* One simplex phase on cost vector [c] (length total). [allowed j] limits
-   the columns that may enter the basis. Returns `Optimal or `Unbounded. *)
-let run_phase tab c allowed =
-  let { m; total; t; rhs; basis; _ } = tab in
-  let reduced = Array.make total 0.0 in
-  let rec iterate () =
-    (* reduced_j = c_j - c_B · column_j *)
-    for j = 0 to total - 1 do
-      reduced.(j) <- c.(j)
+let pack ~rows:m ~cols:n a =
+  Kit.Metrics.incr m_solves;
+  let w = n + m + 1 and rhs = n + m in
+  let s = Domain.DLS.get scratch in
+  if Array.length s.t < (m + 1) * w then s.t <- Array.make ((m + 1) * w) 0.0;
+  if Array.length s.basis < m then s.basis <- Array.make m 0;
+  if Array.length s.nz < w then s.nz <- Array.make w 0;
+  let t = s.t and basis = s.basis in
+  Array.fill t 0 ((m + 1) * w) 0.0;
+  for i = 0 to m - 1 do
+    let i0 = i * w in
+    for j = 0 to n - 1 do
+      if a i j then t.(i0 + j) <- 1.0
     done;
-    for i = 0 to m - 1 do
-      let cb = c.(basis.(i)) in
-      if Float.abs cb > 0.0 then
-        for j = 0 to total - 1 do
-          reduced.(j) <- reduced.(j) -. (cb *. t.(i).(j))
-        done
+    t.(i0 + n + i) <- 1.0;
+    t.(i0 + rhs) <- 1.0;
+    basis.(i) <- n + i
+  done;
+  let z = m * w in
+  for j = 0 to n - 1 do
+    t.(z + j) <- -1.0
+  done;
+  let optimal = ref false in
+  while not !optimal do
+    let col = ref 0 in
+    while !col < rhs && t.(z + !col) >= -.eps do
+      incr col
     done;
-    (* Bland: smallest improving column. *)
-    let entering = ref (-1) in
-    (try
-       for j = 0 to total - 1 do
-         if allowed j && reduced.(j) < -.eps then begin
-           entering := j;
-           raise Exit
-         end
-       done
-     with Exit -> ());
-    if !entering < 0 then `Optimal
+    if !col = rhs then optimal := true
     else begin
-      let col = !entering in
-      (* Ratio test with Bland tie-break on basis variable index. *)
+      let col = !col in
       let row = ref (-1) and best = ref infinity in
       for i = 0 to m - 1 do
-        if t.(i).(col) > eps then begin
-          let ratio = rhs.(i) /. t.(i).(col) in
+        let aij = t.((i * w) + col) in
+        if aij > eps then begin
+          let ratio = t.((i * w) + rhs) /. aij in
           if
             ratio < !best -. eps
-            || (Float.abs (ratio -. !best) <= eps
-               && !row >= 0
-               && basis.(i) < basis.(!row))
+            || (!row >= 0 && ratio <= !best +. eps && basis.(i) < basis.(!row))
           then begin
             best := ratio;
             row := i
           end
         end
       done;
-      if !row < 0 then `Unbounded
-      else begin
-        pivot tab ~row:!row ~col;
-        iterate ()
-      end
+      if !row < 0 then invalid_arg "Lp.pack: a column meets no row";
+      pivot s ~w ~m ~row:!row ~col
     end
-  in
-  iterate ()
-
-let objective_value c tab =
-  let v = ref 0.0 in
-  for i = 0 to tab.m - 1 do
-    v := !v +. (c.(tab.basis.(i)) *. tab.rhs.(i))
   done;
-  !v
-
-let solve { minimize; objective; rows } =
-  Kit.Metrics.incr m_solves;
-  let n = Array.length objective in
-  if rows = [] then
-    (* Unconstrained non-negative variables. *)
-    let improving =
-      Array.exists (fun c -> if minimize then c < -.eps else c > eps) objective
-    in
-    if improving then Unbounded else Optimal { value = 0.0; x = Array.make n 0.0 }
-  else begin
-    let tab = build_tableau n rows in
-    (* Phase 1: minimise the sum of artificials. *)
-    let c1 = Array.make tab.total 0.0 in
-    for j = tab.art0 to tab.total - 1 do
-      c1.(j) <- 1.0
-    done;
-    (match run_phase tab c1 (fun _ -> true) with
-    | `Unbounded -> assert false (* phase-1 objective is bounded below by 0 *)
-    | `Optimal -> ());
-    if objective_value c1 tab > 1e-7 then Infeasible
-    else begin
-      (* Drive any artificial still basic (at zero) out of the basis when
-         possible; rows where it is impossible are redundant and harmless
-         because artificial columns are forbidden from re-entering. *)
-      for i = 0 to tab.m - 1 do
-        if tab.basis.(i) >= tab.art0 then begin
-          let j = ref 0 and found = ref false in
-          while (not !found) && !j < tab.art0 do
-            if Float.abs tab.t.(i).(!j) > eps then found := true else incr j
-          done;
-          if !found then pivot tab ~row:i ~col:!j
-        end
-      done;
-      (* Phase 2 on the real objective. *)
-      let c2 = Array.make tab.total 0.0 in
-      for j = 0 to n - 1 do
-        c2.(j) <- (if minimize then objective.(j) else -.objective.(j))
-      done;
-      match run_phase tab c2 (fun j -> j < tab.art0) with
-      | `Unbounded -> Unbounded
-      | `Optimal ->
-          let x = Array.make n 0.0 in
-          for i = 0 to tab.m - 1 do
-            if tab.basis.(i) < n then x.(tab.basis.(i)) <- tab.rhs.(i)
-          done;
-          let v = objective_value c2 tab in
-          Optimal { value = (if minimize then v else -.v); x }
-    end
-  end
-
-let minimize objective rows = solve { minimize = true; objective; rows }
-let maximize objective rows = solve { minimize = false; objective; rows }
+  let y = Array.make n 0.0 in
+  for i = 0 to m - 1 do
+    if basis.(i) < n then y.(basis.(i)) <- Float.max 0.0 t.((i * w) + rhs)
+  done;
+  let gamma = Array.init m (fun i -> Float.max 0.0 t.(z + n + i)) in
+  { value = t.(z + rhs); gamma; y }

@@ -1,87 +1,10 @@
-(* Tests for the simplex LP solver and fractional covers / fractionally
+(* Tests for the packing LP kernel and fractional covers / fractionally
    improved decompositions. *)
 
 module Bitset = Kit.Bitset
 module H = Hg.Hypergraph
 
 let feq = Alcotest.float 1e-6
-
-let lp_basic_min () =
-  match Lp.minimize [| 1.0; 1.0 |] [ ([| 1.0; 1.0 |], Lp.Ge, 1.0) ] with
-  | Lp.Optimal { value; _ } -> Alcotest.check feq "min x+y, x+y>=1" 1.0 value
-  | _ -> Alcotest.fail "expected optimal"
-
-let lp_basic_max () =
-  match
-    Lp.maximize [| 3.0; 2.0 |]
-      [
-        ([| 1.0; 0.0 |], Lp.Le, 4.0);
-        ([| 0.0; 1.0 |], Lp.Le, 3.0);
-        ([| 1.0; 1.0 |], Lp.Le, 5.0);
-      ]
-  with
-  | Lp.Optimal { value; x } ->
-      Alcotest.check feq "max 3x+2y" 14.0 value;
-      Alcotest.check feq "x" 4.0 x.(0);
-      Alcotest.check feq "y" 1.0 x.(1)
-  | _ -> Alcotest.fail "expected optimal"
-
-let lp_equality () =
-  match
-    Lp.minimize [| 1.0; 1.0 |]
-      [ ([| 1.0; 2.0 |], Lp.Eq, 4.0); ([| 1.0; -1.0 |], Lp.Eq, 1.0) ]
-  with
-  | Lp.Optimal { value; x } ->
-      Alcotest.check feq "value" 3.0 value;
-      Alcotest.check feq "x" 2.0 x.(0);
-      Alcotest.check feq "y" 1.0 x.(1)
-  | _ -> Alcotest.fail "expected optimal"
-
-let lp_infeasible () =
-  match
-    Lp.minimize [| 1.0 |]
-      [ ([| 1.0 |], Lp.Le, 1.0); ([| 1.0 |], Lp.Ge, 2.0) ]
-  with
-  | Lp.Infeasible -> ()
-  | _ -> Alcotest.fail "expected infeasible"
-
-let lp_infeasible_negative_bound () =
-  (* x <= -1 with x >= 0 is infeasible. *)
-  match Lp.minimize [| 1.0 |] [ ([| 1.0 |], Lp.Le, -1.0) ] with
-  | Lp.Infeasible -> ()
-  | _ -> Alcotest.fail "expected infeasible"
-
-let lp_unbounded () =
-  match Lp.maximize [| 1.0; 0.0 |] [ ([| 0.0; 1.0 |], Lp.Le, 1.0) ] with
-  | Lp.Unbounded -> ()
-  | _ -> Alcotest.fail "expected unbounded"
-
-let lp_degenerate () =
-  (* Redundant constraints exercise the artificial-variable cleanup. *)
-  match
-    Lp.minimize [| 2.0; 3.0 |]
-      [
-        ([| 1.0; 1.0 |], Lp.Ge, 2.0);
-        ([| 2.0; 2.0 |], Lp.Ge, 4.0);
-        ([| 1.0; 1.0 |], Lp.Eq, 2.0);
-      ]
-  with
-  | Lp.Optimal { value; _ } -> Alcotest.check feq "degenerate" 4.0 value
-  | _ -> Alcotest.fail "expected optimal"
-
-let lp_fractional_optimum () =
-  (* The triangle covering LP has the fractional optimum 3/2. *)
-  match
-    Lp.minimize
-      [| 1.0; 1.0; 1.0 |]
-      [
-        ([| 1.0; 0.0; 1.0 |], Lp.Ge, 1.0);
-        ([| 1.0; 1.0; 0.0 |], Lp.Ge, 1.0);
-        ([| 0.0; 1.0; 1.0 |], Lp.Ge, 1.0);
-      ]
-  with
-  | Lp.Optimal { value; _ } -> Alcotest.check feq "3/2" 1.5 value
-  | _ -> Alcotest.fail "expected optimal"
 
 (* --- fractional covers --------------------------------------------------- *)
 
@@ -139,6 +62,86 @@ let rho_star_restricted_edges () =
   with
   | None -> ()
   | Some _ -> Alcotest.fail "vertex 2 is not coverable by edge 0"
+
+(* --- packing kernel ---------------------------------------------------- *)
+
+let k4 =
+  H.of_int_edges [ [ 0; 1 ]; [ 0; 2 ]; [ 0; 3 ]; [ 1; 2 ]; [ 1; 3 ]; [ 2; 3 ] ]
+
+(* Duplicate edges tie every ratio test: Bland's tie-break on the basic
+   index must still reach the optimum. *)
+let degenerate =
+  H.of_int_edges [ [ 0; 1 ]; [ 0; 1 ]; [ 1; 2 ]; [ 1; 2 ]; [ 2; 0 ]; [ 2; 0 ] ]
+
+(* Solves the packing LP of ρ*(X) with [Lp.pack] directly and re-checks
+   its certificate here, independently of [Fhd]: γ >= 0 covers X, y >= 0
+   packs every candidate edge and Σγ = Σy. The value must equal both
+   [rho_star] and the exactly certified [rho_star_exact]. *)
+let kernel_case ?edges h x expect () =
+  let pool = Option.value edges ~default:(H.all_edges h) in
+  let rows =
+    Array.of_list (Bitset.to_list (Bitset.inter pool (H.edges_touching h x)))
+  in
+  let cols = Array.of_list (Bitset.to_list x) in
+  let inc i j = Bitset.mem cols.(j) (H.edge h rows.(i)) in
+  let s = Lp.pack ~rows:(Array.length rows) ~cols:(Array.length cols) inc in
+  let sum = Array.fold_left ( +. ) 0.0 in
+  Alcotest.check feq "value = sum gamma" s.Lp.value (sum s.Lp.gamma);
+  Alcotest.check feq "value = sum y" s.Lp.value (sum s.Lp.y);
+  let nonneg = Array.for_all (fun w -> w >= 0.0) in
+  Alcotest.(check bool)
+    "gamma, y >= 0" true
+    (nonneg s.Lp.gamma && nonneg s.Lp.y);
+  Array.iteri
+    (fun j v ->
+      let cover = ref 0.0 in
+      Array.iteri (fun i g -> if inc i j then cover := !cover +. g) s.Lp.gamma;
+      Alcotest.(check bool)
+        (Printf.sprintf "vertex %d covered" v)
+        true
+        (!cover >= 1.0 -. 1e-9))
+    cols;
+  Array.iteri
+    (fun i e ->
+      let load = ref 0.0 in
+      Array.iteri (fun j w -> if inc i j then load := !load +. w) s.Lp.y;
+      Alcotest.(check bool)
+        (Printf.sprintf "edge %d packed" e)
+        true
+        (!load <= 1.0 +. 1e-9))
+    rows;
+  (match Fhd.Frac_cover.rho_star ?edges h x with
+  | Some c -> Alcotest.check feq "rho_star" s.Lp.value c.Fhd.Frac_cover.weight
+  | None -> Alcotest.fail "coverable");
+  match Fhd.Frac_cover.rho_star_exact ?edges h x with
+  | Some r ->
+      Alcotest.(check string) "exact" expect (Kit.Rational.to_string r);
+      Alcotest.check feq "exact = float" (Kit.Rational.to_float r) s.Lp.value
+  | None -> Alcotest.fail "exact: coverable"
+
+let kernel_unbounded () =
+  (* A column in no row: the packing is unbounded, which rho_star rules
+     out before solving. *)
+  Alcotest.check_raises "column meets no row"
+    (Invalid_argument "Lp.pack: a column meets no row") (fun () ->
+      ignore (Lp.pack ~rows:1 ~cols:2 (fun _ j -> j = 0)))
+
+let kernel_uncoverable () =
+  (* An uncoverable X is answered before any LP is built. *)
+  let edges = Bitset.of_list 3 [ 0 ] and x = Bitset.full 3 in
+  Kit.Metrics.reset ();
+  Kit.Metrics.enabled := true;
+  Fun.protect
+    ~finally:(fun () ->
+      Kit.Metrics.enabled := false;
+      Kit.Metrics.reset ())
+    (fun () ->
+      Alcotest.(check bool) "None" true
+        (Fhd.Frac_cover.rho_star ~edges triangle x = None);
+      Alcotest.(check bool) "exact None" true
+        (Fhd.Frac_cover.rho_star_exact ~edges triangle x = None);
+      Alcotest.(check int) "no solve" 0
+        (Kit.Metrics.get (Kit.Metrics.snapshot ()) "lp.solves"))
 
 let prop_rho_star_bounds =
   (* 1 <= rho*(X) <= |X| for nonempty coverable X; and rho* is monotone
@@ -221,16 +224,23 @@ let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "lp_fhd"
     [
-      ( "simplex",
+      ( "kernel",
         [
-          Alcotest.test_case "min" `Quick lp_basic_min;
-          Alcotest.test_case "max" `Quick lp_basic_max;
-          Alcotest.test_case "equality" `Quick lp_equality;
-          Alcotest.test_case "infeasible" `Quick lp_infeasible;
-          Alcotest.test_case "infeasible negative b" `Quick lp_infeasible_negative_bound;
-          Alcotest.test_case "unbounded" `Quick lp_unbounded;
-          Alcotest.test_case "degenerate" `Quick lp_degenerate;
-          Alcotest.test_case "fractional optimum" `Quick lp_fractional_optimum;
+          Alcotest.test_case "triangle 3/2" `Quick
+            (kernel_case triangle (Bitset.full 3) "3/2");
+          Alcotest.test_case "fano 7/3" `Quick
+            (kernel_case fano (Bitset.full 7) "7/3");
+          Alcotest.test_case "K4 2" `Quick (kernel_case k4 (Bitset.full 4) "2");
+          Alcotest.test_case "single vertex" `Quick
+            (kernel_case triangle (Bitset.of_list 3 [ 0 ]) "1");
+          Alcotest.test_case "restricted edges" `Quick
+            (kernel_case ~edges:(Bitset.of_list 3 [ 0; 1 ]) triangle
+               (Bitset.full 3) "2");
+          Alcotest.test_case "degenerate" `Quick
+            (kernel_case degenerate (Bitset.full 3) "3/2");
+          Alcotest.test_case "unbounded column" `Quick kernel_unbounded;
+          Alcotest.test_case "uncoverable X without a solve" `Quick
+            kernel_uncoverable;
         ] );
       ( "frac_cover",
         [

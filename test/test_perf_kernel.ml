@@ -302,6 +302,35 @@ let pinned_balsep_fuel () =
       ("medium", medium, 2, 68_259);
     ]
 
+(* Width and fuel left after a fuel-limited FracImproveHD run, as
+   measured before the packing LP kernel replaced the two-phase simplex.
+   The LP spends no fuel, so a faster LP (and the lifted ρ* memo) must
+   leave every [bag_filter] decision and the fuel bill unchanged. *)
+let pinned_frac_improve_fuel () =
+  let _, grid, fano = instances () in
+  let small =
+    Gen.Random_csp.random (Rng.create 11) ~n_variables:16 ~n_constraints:20
+      ~max_arity:3
+  in
+  List.iter
+    (fun (name, h, k, fuel, width, left) ->
+      let deadline = Kit.Deadline.of_fuel fuel in
+      (match Fhd.Frac_improve_hd.best ~deadline h ~k with
+      | Some (_, w) ->
+          Alcotest.(check (float 1e-9))
+            (Printf.sprintf "%s k=%d width" name k)
+            width w
+      | None -> Alcotest.failf "%s k=%d: no decomposition" name k);
+      Alcotest.(check (option int))
+        (Printf.sprintf "%s k=%d fuel left" name k)
+        (Some left)
+        (Kit.Deadline.fuel_remaining deadline))
+    [
+      ("fano", fano, 3, 100_000, 7.0 /. 3.0, 97_544);
+      ("grid", grid, 3, 100_000, 2.0, 99_181);
+      ("csp-small", small, 3, 300_000, 3.0, 183_814);
+    ]
+
 (* --- sweep cache ---------------------------------------------------------- *)
 
 let detk_counters f =
@@ -402,6 +431,8 @@ let () =
           Alcotest.test_case "jobs=1" `Quick (pinned_counters_at 1);
           Alcotest.test_case "jobs=4" `Quick (pinned_counters_at 4);
           Alcotest.test_case "balsep fuel left" `Quick pinned_balsep_fuel;
+          Alcotest.test_case "frac_improve fuel left" `Quick
+            pinned_frac_improve_fuel;
         ] );
       ( "sweep cache",
         [

@@ -71,42 +71,31 @@ let prop_components_monotone =
           false)
         comps_big)
 
-(* LP weak duality on random covering/packing pairs: min cover >= max
-   packing, and our solver should find them equal (strong duality). *)
-let prop_lp_duality =
+(* ρ* through the packing kernel: the packing value equals the covering
+   value (strong duality), lies in [1, |X|], and both certificates hold
+   (rho_star checks the float one and rho_star_exact the exact one; each
+   raises on failure). *)
+let prop_rho_star_duality =
   QCheck.Test.make ~name:"LP strong duality on cover/packing pairs" ~count:100
     (QCheck.make hg_gen) (fun edges ->
       let h = H.of_int_edges edges in
       let x = H.vertices_of_edges h (H.all_edges h) in
-      let n = h.H.n_edges in
-      let vars_cover = n in
-      (* Primal: min 1.x  s.t. for each v in x: sum_{e ∋ v} >= 1. *)
-      let rows_cover =
-        Bitset.fold
-          (fun v acc ->
-            ( Array.init vars_cover (fun e ->
-                  if Bitset.mem v (H.edge h e) then 1.0 else 0.0),
-              Lp.Ge, 1.0 )
-            :: acc)
-          x []
+      let cols = Array.of_list (Bitset.to_list x) in
+      let s =
+        Lp.pack ~rows:h.H.n_edges ~cols:(Array.length cols) (fun e j ->
+            Bitset.mem cols.(j) (H.edge h e))
       in
-      (* Dual: max 1.y  s.t. for each edge: sum_{v in e} y_v <= 1. *)
-      let verts = Bitset.to_list x in
-      let vpos = List.mapi (fun i v -> (v, i)) verts in
-      let rows_pack =
-        List.init n (fun e ->
-            ( Array.of_list
-                (List.map
-                   (fun v -> if Bitset.mem v (H.edge h e) then 1.0 else 0.0)
-                   verts),
-              Lp.Le, 1.0 ))
-      in
-      ignore vpos;
+      let sum = Array.fold_left ( +. ) 0.0 in
       match
-        ( Lp.minimize (Array.make vars_cover 1.0) rows_cover,
-          Lp.maximize (Array.make (List.length verts) 1.0) rows_pack )
+        (Fhd.Frac_cover.rho_star h x, Fhd.Frac_cover.rho_star_exact h x)
       with
-      | Lp.Optimal p, Lp.Optimal d -> Float.abs (p.Lp.value -. d.Lp.value) < 1e-6
+      | Some c, Some r ->
+          let w = c.Fhd.Frac_cover.weight in
+          Float.abs (sum s.Lp.y -. sum s.Lp.gamma) < 1e-7
+          && Float.abs (w -. s.Lp.value) < 1e-7
+          && Float.abs (Rational.to_float r -. w) < 1e-7
+          && w >= 1.0 -. 1e-9
+          && w <= float_of_int (Array.length cols) +. 1e-9
       | _ -> false)
 
 (* rho* sits between the trivial bounds and matches the LP by duality. *)
@@ -119,6 +108,56 @@ let prop_width_chain =
           let fw = Fhd.Improve_hd.improved_width h hd in
           fw <= float_of_int hw +. 1e-9 && fw >= 1.0 -. 1e-9
       | None, _ -> true)
+
+(* The width hierarchy across methods on seeded random CSPs, every
+   solver under fuel: fhw-upper (FracImproveHD at k = hw) <= each ghw a
+   portfolio member decides <= hw (det-k) <= 3·ghw + 1. A member decides
+   ghw = g by answering yes at g after exact no's below it; undecided
+   widths are skipped, never guessed, but most verdicts must decide. *)
+let width_hierarchy () =
+  let fuel () = Kit.Deadline.of_fuel 200_000 in
+  let decided = ref 0 in
+  let check_member seed h hw fhw alg =
+    let rec ghw k =
+      if k > hw then None
+      else
+        match Ghd.Portfolio.solve alg ~deadline:(fuel ()) h ~k with
+        | { Ghd.Bal_sep.outcome = Detk.Decomposition _; _ } -> Some k
+        | { outcome = Detk.No_decomposition; exact = true } -> ghw (k + 1)
+        | _ -> None
+    in
+    match ghw 1 with
+    | None -> ()
+    | Some g ->
+        incr decided;
+        let what =
+          Printf.sprintf "seed %d %s" seed (Ghd.Portfolio.algorithm_name alg)
+        in
+        Alcotest.(check bool)
+          (what ^ ": fhw-upper <= ghw")
+          true
+          (fhw <= float_of_int g +. 1e-9);
+        Alcotest.(check bool)
+          (what ^ ": ghw <= hw <= 3ghw+1")
+          true
+          (g <= hw && hw <= (3 * g) + 1)
+  in
+  for seed = 1 to 12 do
+    let h =
+      Gen.Random_csp.random (Kit.Rng.create seed) ~n_variables:(8 + seed)
+        ~n_constraints:(10 + seed) ~max_arity:(2 + (seed mod 3))
+    in
+    match Detk.hypertree_width ~deadline:(fuel ()) h with
+    | None, _ -> ()
+    | Some (hw, _), _ -> (
+        match Fhd.Frac_improve_hd.best ~deadline:(fuel ()) h ~k:hw with
+        | None -> ()
+        | Some (_, fhw) ->
+            List.iter (check_member seed h hw fhw) Ghd.Portfolio.order)
+  done;
+  Alcotest.(check bool)
+    (Printf.sprintf "%d member verdicts decided" !decided)
+    true (!decided >= 24)
 
 (* Rational arithmetic: sampled field laws. *)
 let rational_gen =
@@ -166,8 +205,14 @@ let () =
     [
       ( "components",
         [ qt prop_components_partition; qt prop_components_monotone ] );
-      ( "lp", [ qt prop_lp_duality ] );
-      ( "widths", [ qt prop_width_chain; qt prop_acyclic_tw_bound ] );
+      ( "lp", [ qt prop_rho_star_duality ] );
+      ( "widths",
+        [
+          qt prop_width_chain;
+          qt prop_acyclic_tw_bound;
+          Alcotest.test_case "hierarchy across methods under fuel" `Quick
+            width_hierarchy;
+        ] );
       ( "rational",
         [ qt prop_rational_laws; qt prop_rational_compare_total ] );
     ]
