@@ -1,27 +1,13 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
    evaluation (run with no arguments, or name specific artefacts), plus
-   Bechamel micro-benchmarks of the core operations and the ablation
-   benches called out in DESIGN.md.
+   the ablation benches called out in DESIGN.md and the perf, repo,
+   serve and chaos legs.
 
-   Environment knobs:
-     HB_SCALE   repository scale factor        (default 1.0)
-     HB_BUDGET  per-run timeout in seconds     (default 0.5)
-     HB_FUEL    per-run fuel budget, overrides HB_BUDGET when > 0
-     HB_SEED    repository seed                (default 2019)
-     HB_JOBS    analysis domain-pool width     (default: all cores)
-     HB_JOURNAL campaign journal path          (default BENCH_journal.jsonl;
-                empty disables journaling)
-     HB_RESUME  when 1, resume from HB_JOURNAL instead of starting over
-     HB_RETRIES per-instance retries with doubling budget (default 0)
-     HB_MEM_MB  soft memory budget per process; excess -> out_of_memory
-     HB_ISOLATE when 1, run each instance in a forked worker process with
-                a hard wall-clock watchdog and a hard memory rlimit
-     HB_WALL    watchdog budget in seconds under HB_ISOLATE (default 3600)
-     HB_FAULT   fault-injection spec (see Kit.Fault), e.g.
-                crash@instance.cq-rand-002:1 or hang@instance.cq-rand-002:1
-     HB_CACHE   content-addressed result-cache directory for campaigns
-                (unset = no cache); the [repo] artefact uses its own
-                scratch cache regardless
+   Every HB_* knob it reads (scale, budget or fuel, seed, jobs, journal,
+   isolation, faults, perf iterations, gate file, ...) is one row of
+   Kit.Config's table, listed with its default in README's "Environment
+   knobs"; Kit.Config.check runs first, so a malformed knob exits 1
+   naming it before anything runs.
 
    HB_JOBS spreads the per-instance analysis over a fixed-size domain
    pool; results are collected in instance order, so tables and row
@@ -31,34 +17,17 @@
    deterministic budget that makes every verdict and count bit-identical
    at every HB_JOBS value.
 
-   Leg knobs:
-     HB_PERF_ITERS    iterations per [perf] micro-kernel (default 10000)
-     HB_GATE          gate file (bench/gates.txt): one "<leg>.<metric> <= v" or
-                      ">= v" bound per line for the perf and serve legs;
-                      each leg checks only its own lines
-
-   A malformed knob exits 1 naming it. Any gate violation exits 7: a
-   missed HB_GATE bound, a gate line naming a metric its leg does not
-   produce, the repo leg's cache re-run check, or a chaos violation.
-   Failures to set a leg up keep their own codes (6 for the repository,
-   campaign and serve warm-up).
+   HB_GATE names the gate file (bench/gates.txt): one "<leg>.<metric> <= v"
+   or ">= v" bound per line for the perf and serve legs; each leg checks
+   only its own lines. Any gate violation exits 7: a missed HB_GATE
+   bound, a gate line naming a metric its leg does not produce, the repo
+   leg's cache re-run check, or a chaos violation. Failures to set a leg
+   up keep their own codes (6 for the repository, campaign and serve
+   warm-up).
 
    Usage: main.exe [table1|table2|table3|table4|table5|table6|
-                    figure3|figure4|figure5|ablation|micro|perf|repo|
+                    figure3|figure4|figure5|ablation|perf|repo|
                     serve|chaos]... *)
-
-let knob name parse what default =
-  match Sys.getenv_opt name with
-  | None -> default
-  | Some v -> (
-      match parse (String.trim v) with
-      | Some x -> x
-      | None ->
-          Printf.eprintf "bench: %s: expected %s, got %S\n%!" name what v;
-          exit 1)
-
-let env_float name default = knob name float_of_string_opt "a number" default
-let env_int name default = knob name int_of_string_opt "an integer" default
 
 let enforce ~leg violations =
   if violations <> [] then begin
@@ -79,59 +48,6 @@ let rec rm_rf path =
     end
     else Sys.remove path
 
-(* --- Bechamel micro-benchmarks ------------------------------------------------ *)
-
-let micro () =
-  let open Bechamel in
-  let open Toolkit in
-  let rng = Kit.Rng.create 7 in
-  let medium = Gen.Random_csp.random rng ~n_variables:30 ~n_constraints:45 ~max_arity:4 in
-  let grid = Gen.Structured.grid ~rows:4 ~cols:4 in
-  let fano =
-    Hg.Hypergraph.of_int_edges
-      [ [ 0; 1; 2 ]; [ 0; 3; 4 ]; [ 0; 5; 6 ]; [ 1; 3; 5 ]; [ 1; 4; 6 ];
-        [ 2; 3; 6 ]; [ 2; 4; 5 ] ]
-  in
-  let sep = Kit.Bitset.of_list medium.Hg.Hypergraph.n_vertices [ 0; 1; 2 ] in
-  let tests =
-    [
-      Test.make ~name:"components(medium)"
-        (Staged.stage (fun () ->
-             Hg.Components.components medium
-               ~within:(Hg.Hypergraph.all_edges medium) sep));
-      Test.make ~name:"profile(fano)"
-        (Staged.stage (fun () -> Hg.Properties.profile fano));
-      Test.make ~name:"subedges f(fano,2)"
-        (Staged.stage (fun () -> Ghd.Subedges.f_global fano ~k:2));
-      Test.make ~name:"detk hd(fano,3)"
-        (Staged.stage (fun () -> Detk.solve fano ~k:3));
-      Test.make ~name:"detk hd(grid4x4,3)"
-        (Staged.stage (fun () -> Detk.solve grid ~k:3));
-      Test.make ~name:"balsep(fano,3)"
-        (Staged.stage (fun () -> Ghd.Bal_sep.solve fano ~k:3));
-      Test.make ~name:"rho*(fano)"
-        (Staged.stage (fun () ->
-             Fhd.Frac_cover.rho_star fano (Hg.Hypergraph.vertices fano)));
-    ]
-  in
-  let grouped = Test.make_grouped ~name:"hyperbench" ~fmt:"%s %s" tests in
-  let cfg =
-    Benchmark.cfg ~limit:1000 ~quota:(Time.second 0.25) ~kde:(Some 100) ()
-  in
-  let raw = Benchmark.all cfg Instance.[ monotonic_clock ] grouped in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  print_endline "Micro-benchmarks (monotonic clock, ns/run):";
-  let rows = Hashtbl.fold (fun k v acc -> (k, v) :: acc) results [] in
-  List.iter
-    (fun (name, est) ->
-      match Analyze.OLS.estimates est with
-      | Some [ ns ] -> Printf.printf "  %-28s %12.0f ns\n" name ns
-      | _ -> Printf.printf "  %-28s %12s\n" name "n/a")
-    (List.sort compare rows)
-
 (* --- perf: allocation-aware kernel benchmarks -------------------------------- *)
 
 (* Times the mutable-kernel hot paths against reference implementations
@@ -139,10 +55,10 @@ let micro () =
    idiom), reporting both ns/op and allocated words/op, and writes
    BENCH_perf.json. Words count every allocation, minor or straight into
    the major heap (a block above Max_young_wosize words), so a hot path
-   that allocates a large matrix per call cannot hide. Unlike the bechamel
-   micro benches, allocation rates are iteration-count-independent, so the
-   JSON is comparable across machines and suitable as a CI regression gate
-   (the perf.*.words lines of HB_GATE). *)
+   that allocates a large matrix per call cannot hide. Allocation rates are
+   iteration-count-independent, so the JSON is comparable across machines
+   and suitable as a CI regression gate (the perf.*.words lines of
+   HB_GATE). *)
 
 module Perf = struct
   module B = Kit.Bitset
@@ -349,7 +265,7 @@ module Perf = struct
          ])
 
   let main ~gates () =
-    let iters = env_int "HB_PERF_ITERS" 10_000 in
+    let iters = Kit.Config.perf_iters () in
     let rows, instances = run ~iters in
     Printf.printf "Kernel perf (%d iters; baseline = immutable-API reference):\n" iters;
     Printf.printf "  %-20s %12s %12s %9s %12s %10s\n" "op" "ns/op" "words/op"
@@ -554,7 +470,7 @@ end
 (* The serve and chaos legs each run a hyperbenchd inside this process:
    [service] builds the leg's Service over a fresh temp result cache,
    [config] gives its server settings, and the fixture pins an
-   ephemeral port, [max 2 HB_JOBS] workers and no rate limit. [f ~port
+   ephemeral port and [max 2 HB_JOBS] workers. [f ~port
    ~stop] runs the leg; [stop] drains and joins the server (the fixture
    calls it too, then removes the cache). *)
 let with_daemon ~name ~service ~config f =
@@ -566,12 +482,7 @@ let with_daemon ~name ~service ~config f =
   Unix.mkdir cache_dir 0o755;
   let svc = service (Benchlib.Result_cache.create ~dir:cache_dir) in
   let cfg =
-    {
-      config with
-      Serve.Server.port = 0;
-      jobs = max 2 (Kit.Proc.default_jobs ());
-      rate = 0.;
-    }
+    { config with Serve.Server.port = 0; jobs = max 2 (Kit.Config.jobs ()) }
   in
   let srv = Serve.Server.create cfg (Benchlib.Service.handler svc) in
   let th = Thread.create Serve.Server.serve srv in
@@ -593,8 +504,7 @@ let host = "127.0.0.1"
 let headers = [ ("Content-Type", "application/x-hyperbench") ]
 
 let daemon_fuel () =
-  let f = env_int "HB_FUEL" 0 in
-  if f > 0 then f else 50_000
+  Option.value (Kit.Config.fuel ()) ~default:50_000
 
 (* The triangle plus generated CSP hypergraphs of the given sizes:
    enough shape variety to mix cache hits, parses and real solves. *)
@@ -782,7 +692,7 @@ module Serve_chaos = struct
     let service cache =
       {
         Benchlib.Service.cache = Some cache;
-        isolate = Kit.Proc.enabled ();
+        isolate = Kit.Config.isolate ();
         mem_mb = None;
         default_timeout = 5.0;
         max_timeout = 10.0;
@@ -806,11 +716,7 @@ module Serve_chaos = struct
     with_daemon ~name:"chaos" ~service ~config (fun ~port ~stop ->
         Fun.protect ~finally:Kit.Fault.clear @@ fun () ->
         let fd_before = count_fds () in
-        let spec =
-          match Sys.getenv_opt "HB_FAULT" with
-          | Some s when s <> "" -> s
-          | Some _ | None -> default_spec
-        in
+        let spec = Option.value (Kit.Config.fault ()) ~default:default_spec in
         (match Kit.Fault.configure spec with
         | Ok () -> ()
         | Error m ->
@@ -992,27 +898,16 @@ end
 (* --- main ------------------------------------------------------------------- *)
 
 let () =
-  (* A typo'd HB_FAULT spec must not silently run fault-free (the CLI
-     applies the same refusal). *)
-  (match Kit.Fault.config_error () with
-  | Some m ->
-      Printf.eprintf "bench: bad HB_FAULT spec: %s\n%!" m;
-      exit 1
-  | None -> ());
-  let scale = env_float "HB_SCALE" 1.0 in
-  let budget_seconds = env_float "HB_BUDGET" 0.5 in
-  let fuel = match env_int "HB_FUEL" 0 with f when f > 0 -> Some f | _ -> None in
+  Kit.Config.check ~prog:"bench";
+  let scale = Kit.Config.scale () in
+  let budget_seconds = Kit.Config.budget () in
+  let fuel = Kit.Config.fuel () in
   let budget, budget_for = Experiments.escalating_budget ?fuel budget_seconds in
-  let seed = env_int "HB_SEED" 2019 in
-  let jobs =
-    try Kit.Pool.default_jobs ()
-    with Invalid_argument m ->
-      Printf.eprintf "bench: %s\n%!" m;
-      exit 1
-  in
+  let seed = Kit.Config.seed () in
+  let jobs = Kit.Config.jobs () in
   let gates =
-    match Sys.getenv_opt "HB_GATE" with
-    | None | Some "" -> []
+    match Kit.Config.gate () with
+    | None -> []
     | Some path -> (
         match Benchlib.Gate.read path with
         | Ok gates -> gates
@@ -1024,7 +919,7 @@ let () =
     [ "table1"; "table2"; "table3"; "table4"; "table5"; "table6";
       "figure3"; "figure4"; "figure5"; "ablation" ]
   in
-  let legs = [ "micro"; "perf"; "repo"; "serve"; "chaos" ] in
+  let legs = [ "perf"; "repo"; "serve"; "chaos" ] in
   let args = List.tl (Array.to_list Sys.argv) in
   (match List.filter (fun a -> not (List.mem a (tables @ legs))) args with
   | [] -> ()
@@ -1040,27 +935,20 @@ let () =
      | Some f -> Printf.sprintf "%d fuel" f
      | None -> Printf.sprintf "%.2fs" budget_seconds)
     jobs
-    (if Kit.Proc.enabled () then " isolate" else "");
+    (if Kit.Config.isolate () then " isolate" else "");
   if needs_ctx then begin
-    (* Metrics stay on for the analysis + tables and are switched off
-       before the micro benches: bechamel's iteration counts are
-       nondeterministic and would pollute the (fuel-reproducible)
-       counters reported below. *)
+    (* Metrics stay on for the analysis + tables only: the legs below
+       would pollute the (fuel-reproducible) counters reported here. *)
     Kit.Metrics.enabled := true;
-    let journal =
-      match Sys.getenv_opt "HB_JOURNAL" with
-      | Some "" -> None
-      | Some p -> Some p
-      | None -> Some "BENCH_journal.jsonl"
-    in
-    let resume = Sys.getenv_opt "HB_RESUME" = Some "1" in
+    let journal = Kit.Config.journal () in
+    let resume = Kit.Config.resume () in
     let t0 = Unix.gettimeofday () in
     let campaign =
       match
         Experiments.prepare_campaign ~seed ~scale ~budget ~budget_for ~jobs
           ?journal ~resume ()
         (* HB_ISOLATE / HB_WALL are picked up inside analyze_outcomes
-           (isolate defaults to Kit.Proc.enabled, wall to HB_WALL). *)
+           (isolate defaults to Kit.Config.isolate, wall to HB_WALL). *)
       with
       | Ok c -> c
       | Error m ->
@@ -1098,5 +986,4 @@ let () =
   (* chaos arms the global fault harness, so it never runs by default —
      only when asked for by name *)
   if List.mem "chaos" args then Serve_chaos.main ~seed ();
-  if wants "perf" then Perf.main ~gates ();
-  if wants "micro" then micro ()
+  if wants "perf" then Perf.main ~gates ()

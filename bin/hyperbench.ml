@@ -54,21 +54,15 @@ let timeout_arg =
     & opt float 60.0
     & info [ "timeout" ] ~docv:"SECONDS" ~doc:"Per-run timeout in seconds.")
 
-(* Option defaults below read HB_JOBS while the command line is built,
-   so a malformed value is reported here — before any command runs, with
-   the same exit code as a bad HB_FAULT spec — instead of escaping module
-   initialisation as an uncaught exception. *)
-let () =
-  match Kit.Proc.default_jobs () with
-  | _ -> ()
-  | exception Invalid_argument m ->
-      Printf.eprintf "hyperbench: %s\n%!" m;
-      exit 1
+(* Every HB_* knob is checked before the command line is built: option
+   defaults below read HB_JOBS and HB_MEM_MB, and a malformed knob must
+   exit 1 naming itself before any command runs. *)
+let () = Kit.Config.check ~prog:"hyperbench"
 
 let jobs_arg =
   Arg.(
     value
-    & opt int (Kit.Pool.default_jobs ())
+    & opt int (Kit.Config.jobs ())
     & info [ "j"; "jobs" ] ~docv:"JOBS"
         ~doc:
           "Number of domains for parallel work (default: \\$(b,HB_JOBS) or \
@@ -152,24 +146,16 @@ let with_stats ~stats ~stats_json f =
   end
 
 let load_hypergraph path =
-  if Filename.check_suffix path ".xml" then
-    tag exit_xcsp (with_path path (Xcsp3.Xcsp.read_file path))
-  else tag exit_hypergraph (with_path path (Hg.Hypergraph.parse_file path))
-
-(* All whole-file reads go through here: the channel is closed on every
-   path, and truncation mid-read surfaces as [Error] instead of an escaped
-   End_of_file. *)
-let read_file path =
-  match open_in_bin path with
-  | exception Sys_error m -> Error m
-  | ic ->
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () ->
-          match really_input_string ic (in_channel_length ic) with
-          | s -> Ok s
-          | exception End_of_file -> Error (path ^ ": truncated file")
-          | exception Sys_error m -> Error m)
+  let parse, code =
+    if Filename.check_suffix path ".xml" then (Xcsp3.Xcsp.read_report, exit_xcsp)
+    else (Hg.Hypergraph.parse_report, exit_hypergraph)
+  in
+  match Benchlib.Fsio.read_file path with
+  | Error m -> Error (code, m)
+  | Ok source ->
+      Result.map_error
+        (fun ds -> (code, Kit.Diag.to_message ~file:path ~source ds))
+        (parse source)
 
 (* Tolerant repository load: corrupt entries become stderr warnings, not
    failures — a damaged instance must not take the rest of the repository
@@ -299,7 +285,7 @@ let method_conv =
 
 let decompose_cmd =
   let run path k meth timeout jobs isolate dot save stats stats_json =
-    let isolate = isolate || Kit.Proc.enabled () in
+    let isolate = isolate || Kit.Config.isolate () in
     let* h = load_hypergraph path in
     with_stats ~stats ~stats_json @@ fun () ->
     let deadline () = Kit.Deadline.of_seconds timeout in
@@ -376,7 +362,7 @@ let decompose_cmd =
 let validate_cmd =
   let run hg_path decomp_path strict =
     let* h = load_hypergraph hg_path in
-    let* text = tag exit_decomp (read_file decomp_path) in
+    let* text = tag exit_decomp (Benchlib.Fsio.read_file decomp_path) in
     let* d = tag exit_decomp (with_path decomp_path (Decomp_io.of_text h text)) in
     let violations = if strict then Decomp.check_hd h d else Decomp.check_ghd h d in
     (match violations with
@@ -443,7 +429,7 @@ let improve_cmd =
 
 let read_schema_file path =
   (* Format: one "table: col1, col2" line per relation; # comments. *)
-  match read_file path with
+  match Benchlib.Fsio.read_file path with
   | Error _ as e -> e
   | Ok text ->
   let rec go acc = function
@@ -468,7 +454,7 @@ let read_schema_file path =
 
 let convert_sql_cmd =
   let run path schema_path =
-    let* sql = tag exit_sql (read_file path) in
+    let* sql = tag exit_sql (Benchlib.Fsio.read_file path) in
     let* schema =
       match schema_path with
       | None -> Ok Sql.Schema.empty
@@ -511,7 +497,7 @@ let convert_sql_cmd =
 
 let convert_xcsp_cmd =
   let run path =
-    let* src = tag exit_xcsp (with_path path (read_file path)) in
+    let* src = tag exit_xcsp (Benchlib.Fsio.read_file path) in
     let* h =
       match Xcsp3.Xcsp.read_report src with
       | Ok h -> Ok h
@@ -679,7 +665,7 @@ let shard_conv =
 let campaign_cmd =
   let run seed scale timeout fuel max_k jobs journal resume retries mem_limit
       isolate shard cache_dir tables stats stats_json =
-    let isolate = isolate || Kit.Proc.enabled () in
+    let isolate = isolate || Kit.Config.isolate () in
     (* --cache DIR wins over the HB_CACHE knob; neither set means no
        cache and no cache.* metric ticks. *)
     let cache =
@@ -695,8 +681,9 @@ let campaign_cmd =
        well-behaved task always hits its soft deadline first); for fuel
        budgets, whose wall-clock cost is unknown, the 3600 s default. *)
     let wall ~attempt =
-      match (Sys.getenv_opt "HB_WALL", fuel) with
-      | Some _, _ | None, Some _ -> Kit.Proc.default_wall ()
+      match (Kit.Config.wall (), fuel) with
+      | Some w, _ -> w
+      | None, Some _ -> Kit.Proc.default_wall
       | None, None -> (timeout *. float_of_int (1 lsl attempt)) +. 1.0
     in
     with_stats ~stats ~stats_json @@ fun () ->
@@ -842,7 +829,7 @@ let serve_cmd =
           (match cache with
           | Some dir -> Some (Benchlib.Result_cache.create ~dir)
           | None -> Benchlib.Result_cache.of_env ());
-        isolate = isolate || Kit.Proc.enabled ();
+        isolate = isolate || Kit.Config.isolate ();
         mem_mb;
         default_timeout = timeout;
       }
@@ -876,8 +863,8 @@ let serve_cmd =
       & opt int dcfg.Serve.Server.port
       & info [ "p"; "port" ] ~docv:"PORT"
           ~doc:
-            "TCP port (default: $(b,HB_PORT) or 8080); 0 picks an \
-             ephemeral port, printed in the startup line.")
+            "TCP port (default 8080); 0 picks an ephemeral port, printed \
+             in the startup line.")
   in
   let queue =
     Arg.(
@@ -885,8 +872,8 @@ let serve_cmd =
       & opt int dcfg.Serve.Server.queue
       & info [ "queue" ] ~docv:"N"
           ~doc:
-            "Admission queue depth (default: $(b,HB_QUEUE) or 64); beyond \
-             it new connections get 429 + Retry-After.")
+            "Admission queue depth (default 64); beyond it new connections \
+             get 429 + Retry-After.")
   in
   let rate =
     Arg.(
@@ -895,7 +882,7 @@ let serve_cmd =
       & info [ "rate" ] ~docv:"R"
           ~doc:
             "Per-client token-bucket rate limit in requests/second \
-             (default: $(b,HB_RATE); 0 disables).")
+             (default 0, which disables it).")
   in
   let max_body =
     Arg.(
@@ -903,8 +890,8 @@ let serve_cmd =
       & opt int dcfg.Serve.Server.max_body
       & info [ "max-body" ] ~docv:"BYTES"
           ~doc:
-            "Request body cap (default: $(b,HB_MAX_BODY) or 8 MiB); larger \
-             payloads get 413.")
+            "Request body cap in bytes (default 8 MiB); larger payloads get \
+             413.")
   in
   let req_timeout =
     Arg.(
@@ -916,7 +903,7 @@ let serve_cmd =
   let mem_limit =
     Arg.(
       value
-      & opt (some int) (Kit.Guard.mem_budget_mb ())
+      & opt (some int) (Kit.Config.mem_mb ())
       & info [ "mem-limit" ] ~docv:"MB"
           ~doc:
             "Hard memory rlimit per isolated request (default: \
@@ -956,17 +943,6 @@ let serve_cmd =
 
 let fuzz_cmd =
   let run format cases seed out =
-    let* seed =
-      match (seed, Sys.getenv_opt "HB_FUZZ_SEED") with
-      | Some s, _ -> Ok s
-      | None, None -> Ok 2019
-      | None, Some v -> (
-          match int_of_string_opt (String.trim v) with
-          | Some s -> Ok s
-          | None ->
-              Error
-                (1, Printf.sprintf "HB_FUZZ_SEED: expected an integer, got %S" v))
-    in
     let* formats =
       if format = "all" then Ok Benchlib.Fuzz_driver.all_formats
       else
@@ -1021,12 +997,11 @@ let fuzz_cmd =
   in
   let seed =
     Arg.(
-      value & opt (some int) None
+      value & opt int 2019
       & info [ "seed" ] ~docv:"SEED"
           ~doc:
             "Base seed; case i derives its own stream from (SEED, i), so a \
-             reported case replays without regenerating its predecessors \
-             (default: $(b,HB_FUZZ_SEED) or 2019).")
+             reported case replays without regenerating its predecessors.")
   in
   let out =
     Arg.(
@@ -1049,12 +1024,6 @@ let () =
     Cmd.info "hyperbench" ~version:"1.0"
       ~doc:"HyperBench: hypergraph benchmark and decomposition tool"
   in
-  (* A typo'd HB_FAULT spec must not silently run fault-free. *)
-  (match Kit.Fault.config_error () with
-  | Some m ->
-      Printf.eprintf "hyperbench: bad HB_FAULT spec: %s\n%!" m;
-      exit 1
-  | None -> ());
   let cli =
     Cmd.group info
       [

@@ -23,11 +23,13 @@ let roundtrip name h =
   (* Serialise to XCSP and read back: the analysis below runs on the
      parsed instance, not the original. *)
   let xml = Xcsp3.Xcsp.to_xml ~name h in
-  match Xcsp3.Xcsp.read xml with
+  match Xcsp3.Xcsp.read_report xml with
   | Ok h' ->
       assert (Hg.Hypergraph.equal_structure h h');
       analyze name h'
-  | Error m -> Printf.printf "%s: XCSP round-trip failed: %s\n" name m
+  | Error ds ->
+      Printf.printf "%s: XCSP round-trip failed: %s\n" name
+        (Kit.Diag.to_message ~source:xml ds)
 
 let () =
   let rng = Kit.Rng.create 42 in

@@ -11,8 +11,9 @@ let () =
   List.iter
     (fun (name, sql) ->
       Printf.printf "=== %s ===\n" name;
-      match Sql.Convert.sql_to_hypergraphs ~schema sql with
-      | Error m -> Printf.printf "  parse error: %s\n" m
+      match Sql.Convert.sql_to_hypergraphs_report ~schema sql with
+      | Error ds ->
+          Printf.printf "  parse error: %s\n" (Kit.Diag.to_message ~source:sql ds)
       | Ok results ->
           List.iter
             (fun (id, conv) ->
@@ -35,8 +36,12 @@ let () =
   (* One cyclic JOB-style query end to end, with the decomposition shown. *)
   print_endline "\n=== JOB-style cyclic query ===";
   let cyclic = List.assoc "job_cyclic" Gen.Workloads.job_queries in
-  match Sql.Convert.sql_to_hypergraphs ~schema:Gen.Workloads.job_schema cyclic with
-  | Error m -> Printf.printf "parse error: %s\n" m
+  match
+    Sql.Convert.sql_to_hypergraphs_report ~schema:Gen.Workloads.job_schema
+      cyclic
+  with
+  | Error ds ->
+      Printf.printf "parse error: %s\n" (Kit.Diag.to_message ~source:cyclic ds)
   | Ok [ (_, conv) ] | Ok ((_, conv) :: _) -> (
       match conv.Sql.Convert.hypergraph with
       | Some h -> (

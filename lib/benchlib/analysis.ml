@@ -25,7 +25,7 @@ let timed f =
    deadline on every call and be safe to call from any domain (the
    defaults are). Results come back in input order regardless of [jobs]. *)
 let pool_map ?jobs f xs =
-  let jobs = match jobs with Some j -> j | None -> Kit.Pool.default_jobs () in
+  let jobs = match jobs with Some j -> j | None -> Kit.Config.jobs () in
   Kit.Pool.map_list ~jobs f xs
 
 let analyze_one ~budget ~max_k ?cache (inst : Instance.t) =
@@ -84,20 +84,14 @@ type task = {
   result : record Kit.Outcome.t;
 }
 
-let default_retries () =
-  match Sys.getenv_opt "HB_RETRIES" with
-  | Some v -> (
-      match int_of_string_opt v with Some r when r >= 0 -> r | _ -> 0)
-  | None -> 0
-
 let analyze_outcomes ?(budget = default_budget) ?budget_for ?retries ?mem_mb
     ?(max_k = 8) ?jobs ?isolate ?wall ?cache ?on_done instances =
-  let retries = match retries with Some r -> r | None -> default_retries () in
+  let retries = match retries with Some r -> r | None -> Kit.Config.retries () in
   let budget_for =
     match budget_for with Some bf -> bf | None -> fun ~attempt:_ -> budget
   in
   let isolate =
-    match isolate with Some b -> b | None -> Kit.Proc.enabled ()
+    match isolate with Some b -> b | None -> Kit.Config.isolate ()
   in
   if isolate then begin
     (* Hard isolation: each attempt runs in a forked worker under

@@ -37,7 +37,7 @@ val analyze :
 (** [budget] supplies the per-run deadline (default: 1 s wall clock, the
     scaled-down counterpart of the paper's 3600 s); it must produce a
     fresh deadline per call and be callable from any domain. [max_k]
-    defaults to 8. [jobs] (default {!Kit.Pool.default_jobs}) sets the
+    defaults to 8. [jobs] (default {!Kit.Config.jobs}) sets the
     domain-pool width; results are in instance order and — for
     deterministic budgets such as [Kit.Deadline.of_fuel] — identical at
     every [jobs] value. [cache] consults/feeds a {!Result_cache} at each
@@ -89,7 +89,7 @@ val analyze_outcomes :
       of every attempt, so tests can fail a chosen instance
       deterministically at any [jobs] value (and observe a retry
       succeed, since the site counter advances per attempt);
-    - with [isolate] (default: {!Kit.Proc.enabled}, i.e. [HB_ISOLATE=1])
+    - with [isolate] (default: {!Kit.Config.isolate}, i.e. [HB_ISOLATE=1])
       each attempt runs in a forked worker under {!Kit.Proc}: the soft
       guard is backed by a hard [SIGKILL] watchdog of [wall ~attempt]
       seconds (default [HB_WALL], else 3600) and a hard memory rlimit at

@@ -25,12 +25,29 @@ type summary = {
   failures : failure list;
 }
 
+(* The frontend's [_report] API, with the result discarded. *)
 let parse_for fmt =
   match fmt with
-  | Sql -> fun s -> Result.map ignore (Sql.Convert.sql_to_hypergraphs s)
-  | Xcsp -> fun s -> Result.map ignore (Xcsp3.Xcsp.read s)
-  | Hg -> fun s -> Result.map ignore (Hg.Hypergraph.parse s)
-  | Hbx -> fun s -> Result.map ignore (Hg.Binary.of_string s)
+  | Sql -> fun s -> Result.map ignore (Sql.Convert.sql_to_hypergraphs_report s)
+  | Xcsp -> fun s -> Result.map ignore (Xcsp3.Xcsp.read_report s)
+  | Hg -> fun s -> Result.map ignore (Hg.Hypergraph.parse_report s)
+  | Hbx ->
+      fun s ->
+        Result.map ignore (Hg.Binary.of_string_report s)
+        |> Result.map_error (fun d -> [ d ])
+
+(* One case: [true] when it parses. A rejection is rendered as the 422
+   body the daemon would send, so a crash in caret or JSON rendering on
+   hostile input is a fuzz failure too. *)
+let attempt fmt =
+  let parse = parse_for fmt in
+  let format = format_name fmt in
+  fun source ->
+    match parse source with
+    | Ok () -> true
+    | Error diags ->
+        ignore (Kit.Json.to_string (Service.rejection ~format ~source diags));
+        false
 
 (* A small pool of valid inputs per format for mutation mode, built once
    from a fixed seed so the corpus (and thus every mutated case) is
@@ -84,15 +101,14 @@ let outcome_label (o : unit Kit.Outcome.t) =
   | o -> Kit.Outcome.label o
 
 let crashes fmt input =
-  let parse = parse_for fmt in
-  match Kit.Guard.run (fun () -> ignore (parse input)) with
+  match Kit.Guard.run (fun () -> ignore (attempt fmt input)) with
   | Kit.Outcome.Ok () -> None
   | o -> Some (outcome_label o)
 
 let run fmt ~cases ~seed =
   let pool = valid_pool fmt in
   let gen = generator fmt in
-  let parse = parse_for fmt in
+  let attempt = attempt fmt in
   let parsed = ref 0 in
   let rejected = ref 0 in
   let failures = ref [] in
@@ -105,9 +121,9 @@ let run fmt ~cases ~seed =
         Kit.Fuzz.mutate rng pool.(Kit.Rng.int rng (Array.length pool))
       else gen rng
     in
-    match Kit.Guard.run (fun () -> parse input) with
-    | Kit.Outcome.Ok (Ok ()) -> incr parsed
-    | Kit.Outcome.Ok (Error _) -> incr rejected
+    match Kit.Guard.run (fun () -> attempt input) with
+    | Kit.Outcome.Ok true -> incr parsed
+    | Kit.Outcome.Ok false -> incr rejected
     | o ->
         let outcome = outcome_label (Kit.Outcome.map ignore o) in
         let shrunk =

@@ -4,7 +4,8 @@
     {!Kit.Fuzz} — roughly one case in four is a byte-level mutation of
     a valid corpus input, the rest are grammar-adversarial — and parsed
     under {!Kit.Guard.run}. The invariant is crash-freedom: every case
-    must come back [Ok] or structured [Error]; a [Stack_overflow],
+    must come back [Ok] or structured [Error], and every [Error] must
+    render as the daemon's 422 body; a [Stack_overflow],
     [Out_of_memory] or any uncaught exception is a failure, recorded
     with a ddmin-shrunk reproducer. *)
 
@@ -28,14 +29,12 @@ type summary = {
   fmt : format;
   cases : int;
   parsed : int;  (** parser returned [Ok] *)
-  rejected : int;  (** parser returned a structured [Error] *)
+  rejected : int;
+      (** parser returned a structured [Error], rendered as the daemon's
+          422 body ({!Service.rejection}) *)
   failures : failure list;  (** crashes — empty on a healthy frontend *)
 }
 
 val run : format -> cases:int -> seed:int -> summary
 (** Deterministic: same [(format, cases, seed)] → same summary. Honours
     [HB_MEM_MB] through {!Kit.Guard.run}. *)
-
-val parse_for : format -> string -> (unit, string) result
-(** The exact parser entry point the fuzzer drives for a format —
-    exposed so tests and the shrinker predicate agree with the run. *)

@@ -171,6 +171,21 @@ type loaded = {
 
 let m_load_skipped = Kit.Metrics.counter "repository.load_skipped"
 
+(* Fault site "hypergraph.parse": the harness can truncate the text, as
+   a shrinking or torn file would. *)
+let read_hg path =
+  match Fsio.read_file path with
+  | Error _ as e -> e
+  | Ok s ->
+      let s =
+        match Kit.Fault.cut "hypergraph.parse" with
+        | Some keep when keep < String.length s -> String.sub s 0 keep
+        | Some _ | None -> s
+      in
+      Result.map_error
+        (fun ds -> Kit.Diag.to_message ~file:path ~source:s ds)
+        (Hg.Hypergraph.parse_report s)
+
 (* A corrupt entry — torn index line, unknown group, unparseable or
    truncated .hg file — must never abort a campaign that the other few
    thousand instances could still serve. Each one becomes a warning and a
@@ -209,10 +224,7 @@ let load ~dir =
                     (Printf.sprintf "unknown group %s" group_id)
                     rest (build instances)
               | Some group -> (
-                  match
-                    Hg.Hypergraph.parse_file
-                      (Filename.concat dir (hg_filename name))
-                  with
+                  match read_hg (Filename.concat dir (hg_filename name)) with
                   | Error m -> skip skipped name m rest (build instances)
                   | Ok hg ->
                       build
@@ -336,8 +348,8 @@ let load_pack ~dir =
                              skip name
                                (Printf.sprintf "unknown group %s" group_id)
                          | Some group -> (
-                             match Hg.Binary.of_string blob with
-                             | Error m -> skip name m
+                             match Hg.Binary.of_string_report blob with
+                             | Error d -> skip name d.Kit.Diag.message
                              | Ok hg ->
                                  if Hg.Hypergraph.fingerprint hg <> fp then
                                    skip name "fingerprint mismatch"

@@ -26,10 +26,7 @@ let create ~dir =
   Fsio.mkdir_p dir;
   { dir }
 
-let of_env () =
-  match Sys.getenv_opt "HB_CACHE" with
-  | Some dir when dir <> "" -> Some (create ~dir)
-  | Some _ | None -> None
+let of_env () = Option.map (fun dir -> create ~dir) (Kit.Config.cache ())
 
 let dir t = t.dir
 

@@ -30,7 +30,7 @@ val create : dir:string -> t
     {!Kit.Proc} forks. *)
 
 val of_env : unit -> t option
-(** [Some (create ~dir)] when the [HB_CACHE] environment variable names
+(** [Some (create ~dir)] when the [HB_CACHE] knob ({!Kit.Config.cache}) names
     a directory, [None] otherwise. *)
 
 val dir : t -> string

@@ -11,8 +11,8 @@ type config = {
 let default_config () =
   {
     cache = Result_cache.of_env ();
-    isolate = Kit.Proc.enabled ();
-    mem_mb = Kit.Guard.mem_budget_mb ();
+    isolate = Kit.Config.isolate ();
+    mem_mb = Kit.Config.mem_mb ();
     default_timeout = 10.0;
     max_timeout = 60.0;
     max_k = 8;
@@ -290,19 +290,20 @@ let err status msg =
   Serve.Http.response status (Serve.Http.error_body status msg)
 
 (* 422 body: positions as data for tools, the caret report for humans. *)
+let rejection ~format ~source diags =
+  Kit.Json.Obj
+    [
+      ("error", Kit.Json.String "parse failure");
+      ("format", Kit.Json.String format);
+      ("diagnostics", Kit.Diag.all_to_json ~source diags);
+      ("rendered", Kit.Json.String (Kit.Diag.render_all ~source diags));
+    ]
+
 let payload_err = function
   | Unsupported mt ->
       err 415 ("unsupported content type: " ^ mt)
   | Invalid { format; source; diags } ->
-      json_response 422
-        (Kit.Json.Obj
-           [
-             ("error", Kit.Json.String "parse failure");
-             ("format", Kit.Json.String format);
-             ("diagnostics", Kit.Diag.all_to_json ~source diags);
-             ( "rendered",
-               Kit.Json.String (Kit.Diag.render_all ~source diags) );
-           ])
+      json_response 422 (rejection ~format ~source diags)
 
 let methods =
   [ "hd"; "balsep"; "localbip"; "globalbip"; "portfolio" ]

@@ -57,6 +57,11 @@ val default_config : unit -> config
     [HB_MEM_MB], timeouts 10 s default / 60 s max, [max_k] 8, a fresh
     default [supervisor]. *)
 
+val rejection : format:string -> source:string -> Kit.Diag.t list -> Kit.Json.t
+(** The 422 body for an unparseable payload of [format]
+    (["hg"|"hbx"|"sql"|"xcsp"]): the diagnostics as JSON positions plus
+    the rendered caret report. *)
+
 val handler : config -> Serve.Http.request -> Serve.Http.response
 (** Routes:
     - [GET /] — usage document;

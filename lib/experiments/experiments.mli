@@ -35,7 +35,7 @@ val prepare :
     scaled-down stand-in for the paper's 3600 s; [budget] overrides it
     with an arbitrary per-run deadline factory (e.g.
     [Kit.Deadline.of_fuel] for bit-reproducible runs). [jobs] (default
-    {!Kit.Pool.default_jobs}, i.e. the [HB_JOBS] knob) runs the
+    {!Kit.Config.jobs}, i.e. the [HB_JOBS] knob) runs the
     per-instance loops on a domain pool. Results are collected in
     instance order, so verdicts and table contents do not depend on the
     pool interleaving; with a wall-clock budget, runs close to the

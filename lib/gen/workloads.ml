@@ -229,8 +229,11 @@ let job_queries =
 let convert_workload schema queries =
   List.concat_map
     (fun (name, sql) ->
-      match Sql.Convert.sql_to_hypergraphs ~schema sql with
-      | Error m -> failwith (Printf.sprintf "workload query %s: %s" name m)
+      match Sql.Convert.sql_to_hypergraphs_report ~schema sql with
+      | Error ds ->
+          failwith
+            (Printf.sprintf "workload query %s: %s" name
+               (Kit.Diag.to_message ~source:sql ds))
       | Ok results ->
           List.filter_map
             (fun (id, conv) ->

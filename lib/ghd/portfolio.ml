@@ -136,9 +136,6 @@ let race ?(budget = default_budget) ?(members = order) h ~k =
 
 let race_isolated ?(budget = default_budget) ?(members = order) ?mem_mb ?wall
     h ~k =
-  let wall =
-    match wall with Some w -> w | None -> Kit.Proc.default_wall ()
-  in
   (* One forked worker per member. The first decisive frame pulls the
      plug on the others with SIGKILL — no cooperative Deadline.check
      required of the losers, which is the whole point: a member stuck in
@@ -146,7 +143,7 @@ let race_isolated ?(budget = default_budget) ?(members = order) ?mem_mb ?wall
      back as [Timeout], exactly as if their budget had run out. *)
   let completions =
     Kit.Proc.run ~jobs:(List.length members) ?mem_mb
-      ~wall:(fun ~attempt:_ -> wall)
+      ?wall:(Option.map (fun w ~attempt:_ -> w) wall)
       ~halt_on:(function Kit.Outcome.Ok (Some _) -> true | _ -> false)
       (fun ~attempt:_ alg -> decide alg ~deadline:(budget ()) h ~k)
       (Array.of_list members)

@@ -56,11 +56,6 @@ let read_report s pos =
        corruption — a usable anchor for hexdump-style triage. *)
     Error (Kit.Diag.error (Kit.Diag.point !pos) ("binary hypergraph: " ^ m))
 
-let read s pos =
-  match read_report s pos with
-  | Ok _ as ok -> ok
-  | Error d -> Error d.Kit.Diag.message
-
 let of_string_report s =
   match Kit.Limits.check_input s with
   | Some d -> Error d
@@ -75,8 +70,3 @@ let of_string_report s =
                  (Kit.Diag.span !pos (String.length s))
                  "binary hypergraph: trailing bytes")
           else Ok h)
-
-let of_string s =
-  match of_string_report s with
-  | Ok _ as ok -> ok
-  | Error d -> Error d.Kit.Diag.message

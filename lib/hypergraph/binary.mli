@@ -12,7 +12,7 @@
     v}
 
     The encoding preserves ids and names exactly — unlike the text
-    format there is no interning pass, so [read (write h)] reproduces
+    format there is no interning pass, so [read_report (write h)] reproduces
     [h] bit-for-bit (same ids, same names, arbitrary bytes allowed in
     names). Encodings are smaller than the text form (names are stored
     once instead of once per occurrence) and decode without any
@@ -23,19 +23,13 @@ val write : Buffer.t -> Hypergraph.t -> unit
 
 val to_string : Hypergraph.t -> string
 
-val read : string -> int ref -> (Hypergraph.t, string) result
+val read_report : string -> int ref -> (Hypergraph.t, Kit.Diag.t) result
 (** Decode one hypergraph at [!pos], advancing [pos] past it. Any
     corruption — truncation, non-ascending edge members, out-of-range
     ids, absurd counts — is a clean [Error], never an exception or a
-    wrong graph; [pos] is then unspecified. *)
-
-val of_string : string -> (Hypergraph.t, string) result
-(** {!read} from offset 0, requiring the whole string to be consumed. *)
-
-val read_report : string -> int ref -> (Hypergraph.t, Kit.Diag.t) result
-(** Like {!read}; the diagnostic's span anchors at the byte offset
-    where corruption was detected. *)
+    wrong graph; [pos] is then unspecified. The diagnostic's span
+    anchors at the byte offset where corruption was detected. *)
 
 val of_string_report : string -> (Hypergraph.t, Kit.Diag.t) result
-(** Like {!of_string} with the structured diagnostic; inputs over
-    [HB_MAX_INPUT] bytes are refused up front. *)
+(** {!read_report} from offset 0, requiring the whole string to be
+    consumed; inputs over [HB_MAX_INPUT] bytes are refused up front. *)

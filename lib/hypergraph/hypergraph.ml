@@ -379,34 +379,3 @@ let parse_report text =
             try Ok (of_named_edges pairs)
             with Invalid_argument m ->
               Error [ Kit.Diag.error (Kit.Diag.point 0) m ]))
-
-let parse text =
-  match parse_report text with
-  | Ok _ as ok -> ok
-  | Error ds -> Error (Kit.Diag.to_message ~source:text ds)
-
-let parse_file path =
-  match open_in_bin path with
-  | exception Sys_error m -> Error m
-  | ic ->
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () ->
-          (* The file can shrink between the length query and the read
-             (truncation mid-read): surface that as an error, not an
-             escaped End_of_file. *)
-          match really_input_string ic (in_channel_length ic) with
-          | s ->
-              (* Fault site "hypergraph.parse": the harness can truncate
-                 the stream mid-read, as a shrinking or torn file would. *)
-              let s =
-                match Kit.Fault.cut "hypergraph.parse" with
-                | Some keep when keep < String.length s -> String.sub s 0 keep
-                | Some _ | None -> s
-              in
-              (match parse_report s with
-              | Ok _ as ok -> ok
-              | Error ds ->
-                  Error (Kit.Diag.to_message ~file:path ~source:s ds))
-          | exception End_of_file -> Error (path ^ ": truncated file")
-          | exception Sys_error m -> Error m)

@@ -93,18 +93,10 @@ val pp : Format.formatter -> t -> unit
 
 val to_string : t -> string
 
-val parse : string -> (t, string) result
+val parse_report : string -> (t, Kit.Diag.t list) result
 (** Parse the HyperBench text format produced by {!pp}. Whitespace and
     line breaks are flexible; [%] starts a comment line; names may be
-    bare identifiers or ["..."]-quoted strings. The error string is the
-    first diagnostic rendered as ["line:col: error: message"]. *)
-
-val parse_report : string -> (t, Kit.Diag.t list) result
-(** Like {!parse} but with structured span diagnostics; panic-mode
-    recovery resyncs after a broken edge so one pass reports several
-    independent mistakes (capped at 20). Inputs over [HB_MAX_INPUT]
-    bytes are refused up front. *)
-
-val parse_file : string -> (t, string) result
-(** All read failures — missing file, I/O error, file truncated while
-    being read — are reported as [Error]; the channel is always closed. *)
+    bare identifiers or ["..."]-quoted strings. Errors are span
+    diagnostics; panic-mode recovery resyncs after a broken edge so one
+    pass reports several independent mistakes (capped at 20). Inputs
+    over [HB_MAX_INPUT] bytes are refused up front. *)

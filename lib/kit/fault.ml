@@ -22,8 +22,6 @@ type clause = {
    lock; only the per-clause hit counters move. *)
 let state : clause list Atomic.t = Atomic.make []
 
-let spec_error : string option ref = ref None
-
 let kind_name = function
   | Crash -> "crash"
   | Oom -> "oom"
@@ -115,6 +113,8 @@ let parse spec =
     (Ok []) clauses
   |> Result.map List.rev
 
+let validate spec = Result.map ignore (parse spec)
+
 let configure spec =
   match parse spec with
   | Ok clauses ->
@@ -127,8 +127,6 @@ let configure spec =
 let clear () = Atomic.set state []
 
 let armed () = Atomic.get state <> []
-
-let config_error () = !spec_error
 
 (* SplitMix-style avalanche over (seed, site, hit number): deterministic
    at every domain count, since the global hit counter hands out the same
@@ -212,14 +210,3 @@ let cut site =
           end
           else acc)
         None clauses
-
-(* Arm from the environment once, at start-up. A malformed value leaves
-   the harness disarmed but remembered, so the CLI can refuse to run a
-   campaign that silently ignores its fault spec. *)
-let () =
-  match Sys.getenv_opt "HB_FAULT" with
-  | None | Some "" -> ()
-  | Some spec -> (
-      match configure spec with
-      | Ok () -> ()
-      | Error m -> spec_error := Some m)

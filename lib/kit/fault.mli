@@ -8,7 +8,7 @@
     {!Guard.run} for the containment side.
 
     The harness is armed either programmatically ({!configure}) or from
-    the [HB_FAULT] environment variable, read once at start-up. When no
+    the [HB_FAULT] environment variable by {!Config.check} at start-up. When no
     spec is armed, {!hit} is one atomic load and a branch, so permanent
     instrumentation of hot paths (e.g. {!Deadline.check}) is free.
 
@@ -64,6 +64,9 @@ exception Injected of string
     [Stdlib.Out_of_memory] instead, so allocation-failure handling is
     exercised for real. *)
 
+val validate : string -> (unit, string) result
+(** Parse a spec without arming anything; [Error] names the bad clause. *)
+
 val configure : string -> (unit, string) result
 (** Replace the armed spec. [Error] (leaving the harness disarmed)
     on a malformed spec. [configure ""] disarms. *)
@@ -73,11 +76,6 @@ val clear : unit -> unit
 
 val armed : unit -> bool
 (** Cheap: a single atomic load. *)
-
-val config_error : unit -> string option
-(** The parse error of a malformed [HB_FAULT] start-up value, if any —
-    surfaced by the CLI so a typo'd spec does not silently run
-    fault-free. *)
 
 val hit : string -> unit
 (** Count one hit of [site]; raise if an armed clause fires. No-op when

@@ -1,9 +1,3 @@
-let mem_budget_mb () =
-  match Sys.getenv_opt "HB_MEM_MB" with
-  | Some v -> (
-      match int_of_string_opt v with Some m when m >= 1 -> Some m | _ -> None)
-  | None -> None
-
 let words_per_mb = 1024 * 1024 / (Sys.word_size / 8)
 
 let with_mem_alarm mb f =
@@ -22,7 +16,7 @@ let with_mem_alarm mb f =
       Fun.protect ~finally:(fun () -> Gc.delete_alarm alarm) f
 
 let run ?mem_mb f =
-  let mem_mb = match mem_mb with Some _ as m -> m | None -> mem_budget_mb () in
+  let mem_mb = match mem_mb with Some _ as m -> m | None -> Config.mem_mb () in
   match with_mem_alarm mem_mb f with
   | v -> Outcome.Ok v
   | exception Stack_overflow ->

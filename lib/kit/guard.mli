@@ -18,8 +18,8 @@
 
     {2 Soft memory budget}
 
-    With a budget of [m] MB (the [mem_mb] argument, defaulting to the
-    [HB_MEM_MB] environment variable), a [Gc] alarm installed for the
+    With a budget of [m] MB (the [mem_mb] argument, defaulting to
+    {!Config.mem_mb}, the [HB_MEM_MB] knob), a [Gc] alarm installed for the
     duration of the call raises [Out_of_memory] at the end of any major
     collection whose live heap exceeds the budget. This is a soft,
     per-process guardrail: it triggers on major-cycle boundaries, not on
@@ -27,9 +27,6 @@
     by all domains — size it for the whole campaign process, not per
     task. It turns the paper's "instance ate the machine" failure mode
     into one recorded [Out_of_memory] outcome. *)
-
-val mem_budget_mb : unit -> int option
-(** [HB_MEM_MB] when it parses as a positive integer. *)
 
 val run : ?mem_mb:int -> (unit -> 'a) -> 'a Outcome.t
 (** Containment boundary; never raises. [mem_mb] overrides [HB_MEM_MB];

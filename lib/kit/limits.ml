@@ -1,21 +1,5 @@
-let default_depth = 200
-
-let default_input = 64 * 1024 * 1024
-
-let env_pos name default =
-  match Sys.getenv_opt name with
-  | None -> default
-  | Some v -> (
-      match int_of_string_opt (String.trim v) with
-      | Some n when n >= 1 -> n
-      | _ -> default)
-
-let max_depth () = env_pos "HB_PARSE_DEPTH" default_depth
-
-let max_input () = env_pos "HB_MAX_INPUT" default_input
-
 let check_input src =
-  let cap = max_input () in
+  let cap = Config.max_input () in
   if String.length src > cap then
     Some
       (Diag.errorf (Diag.point 0)
@@ -25,4 +9,4 @@ let check_input src =
 
 let depth_error ~at =
   Diag.errorf (Diag.point at) "nested deeper than %d (HB_PARSE_DEPTH)"
-    (max_depth ())
+    (Config.parse_depth ())

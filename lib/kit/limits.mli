@@ -4,25 +4,14 @@
     nesting, HG text, binary codecs) consults these limits so hostile
     nesting yields a clean [Error] instead of [Stack_overflow], and an
     absurdly large payload is refused up front instead of being chewed
-    through. Both knobs are environment-tunable and re-read on each
-    call, so tests can tighten them locally. *)
-
-val default_depth : int
-(** 200 — comfortably above any corpus instance, far below the stack. *)
-
-val default_input : int
-(** 64 MiB — the largest single corpus file is well under this. *)
-
-val max_depth : unit -> int
-(** [HB_PARSE_DEPTH] (>= 1) or {!default_depth}. *)
-
-val max_input : unit -> int
-(** [HB_MAX_INPUT] in bytes (>= 1) or {!default_input}. *)
+    through. The bounds are the knobs {!Config.parse_depth} and
+    {!Config.max_input}, re-read on each call, so tests can tighten them
+    locally. *)
 
 val check_input : string -> Diag.t option
-(** [Some diag] when the input exceeds {!max_input}; the diagnostic
+(** [Some diag] when the input exceeds {!Config.max_input}; the diagnostic
     points at offset 0 and names the knob. *)
 
 val depth_error : at:int -> Diag.t
 (** The uniform "nested deeper than N" diagnostic for frontends to
-    raise when their own depth counter crosses {!max_depth}. *)
+    raise when their own depth counter crosses {!Config.parse_depth}. *)

@@ -1,5 +1,3 @@
-let default_jobs () = Proc.default_jobs ()
-
 let m_spawn_failure = Metrics.counter "pool.spawn_failures"
 
 (* Work-stealing is overkill for our coarse, independent tasks: a shared
@@ -44,7 +42,7 @@ let run_result ~jobs f tasks =
   results
 
 let run_outcome ?mem_mb ?isolate ?wall ~jobs f tasks =
-  let isolate = match isolate with Some b -> b | None -> Proc.enabled () in
+  let isolate = match isolate with Some b -> b | None -> Config.isolate () in
   if isolate then Proc.outcomes ~jobs ?mem_mb ?wall f tasks
   else begin
     let n = Array.length tasks in

@@ -24,11 +24,6 @@
       ["pool.spawn_failures"] metric instead of leaking unjoined
       domains. *)
 
-val default_jobs : unit -> int
-(** {!Proc.default_jobs}: the [HB_JOBS] knob, or
-    [Domain.recommended_domain_count ()] when unset.
-    @raise Invalid_argument on a malformed value. *)
-
 val run_result : jobs:int -> ('a -> 'b) -> 'a array -> ('b, exn) result array
 (** Exceptions raised by a task are captured per-task as [Error] without
     disturbing the other tasks or the pool. *)
@@ -47,7 +42,7 @@ val run_outcome :
     This is the campaign-grade runner: no task outcome can kill a domain
     or the pool.
 
-    With [isolate] (default: {!Proc.enabled}, i.e. [HB_ISOLATE=1]) the
+    With [isolate] (default: {!Config.isolate}, i.e. [HB_ISOLATE=1]) the
     tasks run in forked worker processes via {!Proc.outcomes} instead of
     domains: same ordering and containment guarantees, plus a hard
     [wall]-second watchdog and a hard memory rlimit — tasks must then

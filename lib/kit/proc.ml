@@ -1,7 +1,5 @@
 external setrlimit_mem : int -> bool = "hb_proc_setrlimit_mem"
 
-let enabled () = Sys.getenv_opt "HB_ISOLATE" = Some "1"
-
 (* --- fork hygiene for long-lived, multi-threaded hosts -----------------------
 
    A batch campaign calls [run] once from one thread, so the only fds a
@@ -63,23 +61,7 @@ let sigpipe_release () =
         | None -> ());
         sigpipe_saved := None))
 
-let default_jobs () =
-  match Sys.getenv_opt "HB_JOBS" with
-  | Some v -> (
-      match int_of_string_opt (String.trim v) with
-      | Some j when j >= 1 -> j
-      | Some _ | None ->
-          invalid_arg
-            (Printf.sprintf "HB_JOBS: expected an integer >= 1, got %S" v))
-  | None -> Domain.recommended_domain_count ()
-
-let default_wall () =
-  match Sys.getenv_opt "HB_WALL" with
-  | Some v -> (
-      match float_of_string_opt v with
-      | Some w when w > 0.0 -> w
-      | _ -> 3600.0)
-  | None -> 3600.0
+let default_wall = 3600.0
 
 type 'b completion = { index : int; attempts : int; outcome : 'b Outcome.t }
 
@@ -243,14 +225,18 @@ let run ?jobs ?mem_mb ?(retries = 0) ?halt_on ?on_done ?wall f tasks =
   if n = 0 then [||]
   else begin
     let jobs =
-      let j = match jobs with Some j -> j | None -> default_jobs () in
+      let j = match jobs with Some j -> j | None -> Config.jobs () in
       Stdlib.max 1 (Stdlib.min j n)
     in
     let mem_mb =
-      match mem_mb with Some _ as m -> m | None -> Guard.mem_budget_mb ()
+      match mem_mb with Some _ as m -> m | None -> Config.mem_mb ()
     in
     let wall =
-      match wall with Some w -> w | None -> fun ~attempt:_ -> default_wall ()
+      match wall with
+      | Some w -> w
+      | None ->
+          let w = Option.value (Config.wall ()) ~default:default_wall in
+          fun ~attempt:_ -> w
     in
     let results : 'b completion option array = Array.make n None in
     let completed = ref 0 in

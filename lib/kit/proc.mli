@@ -56,9 +56,6 @@ type 'b completion = {
   outcome : 'b Outcome.t;
 }
 
-val enabled : unit -> bool
-(** The [HB_ISOLATE] environment knob: [true] iff it is set to [1]. *)
-
 val register_fork_fd : Unix.file_descr -> unit
 (** Record a parent-side fd that no forked worker may inherit open: a
     listening socket, an accepted connection, a log file. Every child
@@ -77,17 +74,9 @@ val unregister_fork_fd : Unix.file_descr -> unit
     [open]). Unregistering an fd that was never registered is a no-op.
     Thread-safe. *)
 
-val default_jobs : unit -> int
-(** The [HB_JOBS] environment knob, or [Domain.recommended_domain_count ()]
-    when it is unset. This is the one parser of the knob:
-    {!Pool.default_jobs} and the HTTP server's default config call it.
-    @raise Invalid_argument naming [HB_JOBS] when the value is not an
-    integer or is below 1 — a typo must not silently change the pool
-    width. *)
-
-val default_wall : unit -> float
-(** The [HB_WALL] watchdog budget in seconds when it parses as a
-    positive float, else 3600 (the paper's per-run limit). *)
+val default_wall : float
+(** 3600 s (the paper's per-run limit): the watchdog budget when
+    [HB_WALL] ({!Config.wall}) is unset. *)
 
 val run :
   ?jobs:int ->
@@ -104,13 +93,14 @@ val run :
     input order. Never raises on task failure: every way a worker can
     die becomes that task's [Outcome].
 
-    - [jobs] (default {!default_jobs}) bounds the worker pool; a
+    - [jobs] (default {!Config.jobs}) bounds the worker pool; a
       worker is reused for many tasks and only respawned after a kill.
-    - [mem_mb] (default [HB_MEM_MB], i.e. {!Guard.mem_budget_mb}) is
+    - [mem_mb] (default {!Config.mem_mb}, the [HB_MEM_MB] knob) is
       the hard per-worker rlimit; [0] or absent disables it.
     - A non-[Ok] outcome is retried up to [retries] times (default 0),
       re-dispatched with [attempt + 1]; [wall ~attempt] supplies each
-      attempt's watchdog budget (default: {!default_wall}, flat).
+      attempt's watchdog budget (default: {!Config.wall}, else
+      {!default_wall}, flat).
     - [halt_on] turns the run into a race: the first completed outcome
       it accepts kills every other busy worker with [SIGKILL] and
       records the casualties (and any never-dispatched task) as

@@ -13,35 +13,20 @@ type config = {
   write_timeout : float;
 }
 
-let env_int name default =
-  match Sys.getenv_opt name with
-  | Some v -> ( match int_of_string_opt (String.trim v) with
-      | Some n when n >= 0 -> n
-      | _ -> default)
-  | None -> default
-
-let env_float name default =
-  match Sys.getenv_opt name with
-  | Some v -> ( match float_of_string_opt (String.trim v) with
-      | Some x when x >= 0. -> x
-      | _ -> default)
-  | None -> default
-
 let default_config () =
-  let rate = env_float "HB_RATE" 0. in
   {
     host = "127.0.0.1";
-    port = env_int "HB_PORT" 8080;
-    jobs = Kit.Proc.default_jobs ();
-    queue = env_int "HB_QUEUE" 64;
-    rate;
-    burst = Float.max rate 8.;
-    max_body = env_int "HB_MAX_BODY" (8 * 1024 * 1024);
+    port = 8080;
+    jobs = Kit.Config.jobs ();
+    queue = 64;
+    rate = 0.;
+    burst = 8.;
+    max_body = 8 * 1024 * 1024;
     max_head = 16 * 1024;
-    idle_timeout = env_float "HB_IDLE" 5.0;
-    drain_grace = env_float "HB_DRAIN" 0.25;
-    mid_read_timeout = env_float "HB_READ_TIMEOUT" 10.0;
-    write_timeout = env_float "HB_WRITE_TIMEOUT" 30.0;
+    idle_timeout = Kit.Config.idle ();
+    drain_grace = Kit.Config.drain ();
+    mid_read_timeout = Kit.Config.read_timeout ();
+    write_timeout = Kit.Config.write_timeout ();
   }
 
 (* Metrics: registered once at module init; recording is a no-op unless

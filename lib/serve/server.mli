@@ -21,12 +21,12 @@
 
 type config = {
   host : string;  (** bind address, default ["127.0.0.1"] *)
-  port : int;  (** [0] picks an ephemeral port — see {!port} *)
-  jobs : int;  (** worker threads, default {!Kit.Proc.default_jobs} *)
-  queue : int;  (** max connections awaiting a worker, default [HB_QUEUE] *)
-  rate : float;  (** per-client req/s, [0.] = unlimited, default [HB_RATE] *)
-  burst : float;  (** token-bucket burst, default [max rate 8] *)
-  max_body : int;  (** request-body cap in bytes, default [HB_MAX_BODY] *)
+  port : int;  (** default 8080; [0] picks an ephemeral port — see {!port} *)
+  jobs : int;  (** worker threads, default {!Kit.Config.jobs} *)
+  queue : int;  (** max connections awaiting a worker, default 64 *)
+  rate : float;  (** per-client req/s, [0.] = unlimited (the default) *)
+  burst : float;  (** token-bucket burst, default 8 *)
+  max_body : int;  (** request-body cap in bytes, default 8 MiB *)
   max_head : int;  (** request-head cap in bytes *)
   idle_timeout : float;  (** keep-alive idle close, seconds, default [HB_IDLE] *)
   drain_grace : float;  (** idle wait while draining, seconds, default [HB_DRAIN] *)
@@ -39,10 +39,9 @@ type config = {
 }
 
 val default_config : unit -> config
-(** Defaults above, with [HB_PORT] / [HB_JOBS] / [HB_QUEUE] / [HB_RATE] /
-    [HB_MAX_BODY] / [HB_IDLE] / [HB_DRAIN] / [HB_READ_TIMEOUT] /
-    [HB_WRITE_TIMEOUT] read from the environment.
-    @raise Invalid_argument on a malformed [HB_JOBS]. *)
+(** Defaults above, with [HB_JOBS] / [HB_IDLE] / [HB_DRAIN] /
+    [HB_READ_TIMEOUT] / [HB_WRITE_TIMEOUT] read through {!Kit.Config}.
+    @raise Invalid_argument on a malformed one of them. *)
 
 val retry_after_estimate : queue_len:int -> rate:float -> int
 (** Honest queue-full [Retry-After]: seconds until [queue_len + 1]

@@ -222,11 +222,6 @@ let statement_to_hypergraphs ?schema stmt =
       (id, conv))
     simples
 
-let sql_to_hypergraphs ?schema src =
-  match Parser.parse src with
-  | Error _ as e -> e
-  | Ok stmt -> Ok (statement_to_hypergraphs ?schema stmt)
-
 let sql_to_hypergraphs_report ?schema src =
   match Parser.parse_report src with
   | Error _ as e -> e

@@ -23,14 +23,9 @@ val statement_to_hypergraphs :
     set-operation splitting, subquery dependency analysis), then convert
     each. Returns (query id, conversion) pairs. *)
 
-val sql_to_hypergraphs :
-  ?schema:Schema.t -> string -> ((string * conversion) list, string) result
-(** [statement_to_hypergraphs] composed with the parser. *)
-
 val sql_to_hypergraphs_report :
   ?schema:Schema.t ->
   string ->
   ((string * conversion) list, Kit.Diag.t list) result
-(** Like {!sql_to_hypergraphs} but a parse failure carries the full
-    span diagnostics (see {!Parser.parse_report}), for callers that
-    render carets or JSON. *)
+(** {!statement_to_hypergraphs} composed with {!Parser.parse_report}: a
+    parse failure carries the full span diagnostics. *)

@@ -583,7 +583,7 @@ let parse_report src =
       let p =
         {
           l;
-          max_depth = Kit.Limits.max_depth ();
+          max_depth = Kit.Config.parse_depth ();
           depth = 0;
           diags = [];
           ndiags = 0;
@@ -621,14 +621,3 @@ let parse_report src =
                 (Kit.Diag.point start2)
                 "trailing input: more than one SQL statement";
             ])
-
-let parse src =
-  match parse_report src with
-  | Ok s -> Ok s
-  | Error ds -> Error (Kit.Diag.to_message ~source:src ds)
-
-let parse_query src =
-  match parse src with
-  | Ok { views = []; body } -> Ok body
-  | Ok _ -> Error "unexpected WITH clause"
-  | Error _ as e -> e

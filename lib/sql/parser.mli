@@ -11,14 +11,6 @@
     over a broken file reports several independent mistakes (capped at
     20). *)
 
-val parse : string -> (Ast.statement, string) result
-(** Single-error compatibility shim over {!parse_report}: the first
-    diagnostic rendered as ["line:col: error: message"], with a count
-    suffix when more were found. *)
-
 val parse_report : string -> (Ast.statement, Kit.Diag.t list) result
 (** Full diagnostics. [Ok] only for a clean single-statement parse;
     [Error] carries every recovered diagnostic in source order. *)
-
-val parse_query : string -> (Ast.query, string) result
-(** Like {!parse} but without the WITH prefix. *)

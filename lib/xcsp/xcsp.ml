@@ -170,23 +170,6 @@ let parse_report src =
              start; they still travel in the one diagnostic shape. *)
           Error [ Kit.Diag.error (Kit.Diag.point 0) msg ])
 
-let parse src =
-  match parse_report src with
-  | Ok _ as ok -> ok
-  | Error ds -> Error (Kit.Diag.to_message ~source:src ds)
-
-let parse_file path =
-  match open_in_bin path with
-  | exception Sys_error m -> Error m
-  | ic ->
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () ->
-          match really_input_string ic (in_channel_length ic) with
-          | s -> parse s
-          | exception End_of_file -> Error (path ^ ": truncated file")
-          | exception Sys_error m -> Error m)
-
 let to_hypergraph inst =
   if inst.scopes = [] then Error "XCSP: no constraints"
   else begin
@@ -205,9 +188,6 @@ let to_hypergraph inst =
              (List.mapi (fun i scope -> (Printf.sprintf "c%d" i, scope)) inst.scopes))
   end
 
-let read src =
-  match parse src with Error _ as e -> e | Ok inst -> to_hypergraph inst
-
 let read_report src =
   match parse_report src with
   | Error _ as e -> e
@@ -215,9 +195,6 @@ let read_report src =
       match to_hypergraph inst with
       | Ok _ as ok -> ok
       | Error msg -> Error [ Kit.Diag.error (Kit.Diag.point 0) msg ])
-
-let read_file path =
-  match parse_file path with Error _ as e -> e | Ok inst -> to_hypergraph inst
 
 (* The reader only sees [A-Za-z0-9_] runs as variable references (see
    [scope_tokens]; brackets belong to array cells), so any other name —

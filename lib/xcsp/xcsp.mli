@@ -19,25 +19,18 @@ type instance = {
   scopes : string list list;  (** one scope per constraint *)
 }
 
-val parse : string -> (instance, string) result
-val parse_file : string -> (instance, string) result
-
 val parse_report : string -> (instance, Kit.Diag.t list) result
-(** Like {!parse} but XML errors keep their byte spans; semantic errors
-    (missing sections, bad root) anchor at offset 0. *)
+(** XML errors keep their byte spans; semantic errors (missing
+    sections, bad root) anchor at offset 0. *)
 
 val to_hypergraph : instance -> (Hg.Hypergraph.t, string) result
 (** Fails when a constraint references an undeclared variable or the
     instance has no constraints. Variables not occurring in any scope are
     dropped (hypergraphs have no isolated vertices). *)
 
-val read : string -> (Hg.Hypergraph.t, string) result
-(** [parse] followed by [to_hypergraph]. *)
-
 val read_report : string -> (Hg.Hypergraph.t, Kit.Diag.t list) result
-(** Like {!read} with structured diagnostics. *)
-
-val read_file : string -> (Hg.Hypergraph.t, string) result
+(** {!parse_report} followed by {!to_hypergraph}, whose errors anchor
+    at offset 0. *)
 
 val identifiers : Hg.Hypergraph.t -> string array
 (** The variable id {!to_xml} writes for each vertex. A name made only of
@@ -48,6 +41,6 @@ val identifiers : Hg.Hypergraph.t -> string array
 
 val to_xml : name:string -> Hg.Hypergraph.t -> string
 (** Render a hypergraph as an XCSP-style instance with one extensional
-    constraint per edge, naming variables by {!identifiers}. [read]
+    constraint per edge, naming variables by {!identifiers}. [read_report]
     gives back the same hypergraph up to that renaming — exactly the
     same one when every vertex name is already an identifier. *)

@@ -40,7 +40,7 @@ let decode_entities s =
 let parse_report src =
   let len = String.length src in
   let pos = ref 0 in
-  let max_depth = Kit.Limits.max_depth () in
+  let max_depth = Kit.Config.parse_depth () in
   let error msg =
     raise (Xml_error (Kit.Diag.error (Kit.Diag.point !pos) msg))
   in
@@ -207,11 +207,6 @@ let parse_report src =
                 "trailing content after root element" ]
         else Ok root
       with Xml_error d -> Error [ d ])
-
-let parse src =
-  match parse_report src with
-  | Ok _ as ok -> ok
-  | Error ds -> Error (Kit.Diag.to_message ~source:src ds)
 
 let tag = function Element (t, _, _) -> Some t | Text _ -> None
 

@@ -13,13 +13,8 @@ type node =
   | Element of string * (string * string) list * node list
   | Text of string
 
-val parse : string -> (node, string) result
-(** Parse a document; returns its single root element. The error
-    string is the first diagnostic rendered as
-    ["line:col: error: message"]. *)
-
 val parse_report : string -> (node, Kit.Diag.t list) result
-(** Like {!parse} but with the structured diagnostics. *)
+(** Parse a document; returns its single root element. *)
 
 val tag : node -> string option
 val attr : node -> string -> string option

@@ -60,15 +60,15 @@ let dedup () =
 
 let roundtrip () =
   let s = H.to_string fano in
-  match H.parse s with
-  | Error m -> Alcotest.fail m
+  match H.parse_report s with
+  | Error ds -> Alcotest.fail (Kit.Diag.to_message ~source:s ds)
   | Ok h' ->
       Alcotest.(check bool) "structure preserved" true (H.equal_structure fano h')
 
 let parse_flexible () =
   let text = "% a comment\n r1 (x, y),\n r2(y,z),\nr3(z , x)." in
-  match H.parse text with
-  | Error m -> Alcotest.fail m
+  match H.parse_report text with
+  | Error ds -> Alcotest.fail (Kit.Diag.to_message ~source:text ds)
   | Ok h ->
       Alcotest.(check int) "edges" 3 h.H.n_edges;
       let expected =
@@ -81,17 +81,17 @@ let parse_flexible () =
       Alcotest.(check bool) "names matter" false (H.equal_structure h triangle)
 
 let parse_errors () =
-  (match H.parse "" with
+  (match H.parse_report "" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "empty should fail");
-  (match H.parse "r(x," with
+  (match H.parse_report "r(x," with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "unclosed should fail");
-  match H.parse "r(x). garbage" with
+  match H.parse_report "r(x). garbage" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "trailing should fail"
 
-let parse_file_robust () =
+let file_robust () =
   let path = Filename.temp_file "hb" ".hg" in
   Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
   let write s =
@@ -99,9 +99,17 @@ let parse_file_robust () =
     output_string oc s;
     close_out oc
   in
+  (* The CLI's load path: the one whole-file reader, then the report
+     parser. *)
+  let load () =
+    Result.bind (Benchlib.Fsio.read_file path) (fun source ->
+        Result.map_error
+          (fun ds -> Kit.Diag.to_message ~file:path ~source ds)
+          (H.parse_report source))
+  in
   let text = H.to_string fano in
   write text;
-  (match H.parse_file path with
+  (match load () with
   | Ok h -> Alcotest.(check bool) "roundtrip" true (H.equal_structure fano h)
   | Error m -> Alcotest.fail m);
   (* Truncate mid-edge (right after the last '('): always Error, never an
@@ -109,11 +117,11 @@ let parse_file_robust () =
      past the typical 1024-fd limit. *)
   write (String.sub text 0 (String.rindex text '(' + 1));
   for _ = 1 to 1100 do
-    match H.parse_file path with
+    match load () with
     | Error _ -> ()
     | Ok _ -> Alcotest.fail "truncated file should not parse"
   done;
-  match H.parse_file (path ^ ".does-not-exist") with
+  match Benchlib.Fsio.read_file (path ^ ".does-not-exist") with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "missing file should fail"
 
@@ -335,7 +343,7 @@ let () =
           Alcotest.test_case "roundtrip" `Quick roundtrip;
           Alcotest.test_case "flexible input" `Quick parse_flexible;
           Alcotest.test_case "errors" `Quick parse_errors;
-          Alcotest.test_case "file robustness" `Quick parse_file_robust;
+          Alcotest.test_case "file robustness" `Quick file_robust;
         ] );
       ( "components",
         [

@@ -269,7 +269,7 @@ let pool_captures_exceptions () =
 
 let pool_empty_and_default () =
   Alcotest.(check (array int)) "empty" [||] (Kit.Pool.run ~jobs:8 (fun x -> x) [||]);
-  Alcotest.(check bool) "default jobs positive" true (Kit.Pool.default_jobs () >= 1)
+  Alcotest.(check bool) "default jobs positive" true (Kit.Config.jobs () >= 1)
 
 (* Every metrics test flips the global [enabled] switch, so restore it (and
    zero the registry) on all exits. *)
@@ -826,24 +826,25 @@ let diag_json () =
 
 (* --- limits ------------------------------------------------------------ *)
 
+(* Knobs are re-read on every call, so a putenv takes effect at once;
+   restoring "" reads as unset again. *)
+let with_env name v f =
+  let old = Sys.getenv_opt name in
+  Unix.putenv name v;
+  Fun.protect
+    ~finally:(fun () -> Unix.putenv name (Option.value old ~default:""))
+    f
+
 let limits_env () =
-  (* The knobs are re-read on every call, so a putenv takes effect
-     immediately; an unparsable value falls back to the default. *)
-  let with_env name v f =
-    let old = Sys.getenv_opt name in
-    Unix.putenv name v;
-    Fun.protect
-      ~finally:(fun () ->
-        Unix.putenv name (Option.value old ~default:""))
-      f
-  in
   with_env "HB_PARSE_DEPTH" "17" (fun () ->
-      Alcotest.(check int) "depth knob" 17 (Kit.Limits.max_depth ()));
+      Alcotest.(check int) "depth knob" 17 (Kit.Config.parse_depth ()));
   with_env "HB_PARSE_DEPTH" "not-a-number" (fun () ->
-      Alcotest.(check int) "bad depth -> default" Kit.Limits.default_depth
-        (Kit.Limits.max_depth ()));
+      Alcotest.check_raises "bad depth is an error"
+        (Invalid_argument
+           "HB_PARSE_DEPTH: expected an integer >= 1, got \"not-a-number\"")
+        (fun () -> ignore (Kit.Config.parse_depth ())));
   with_env "HB_MAX_INPUT" "10" (fun () ->
-      Alcotest.(check int) "input knob" 10 (Kit.Limits.max_input ());
+      Alcotest.(check int) "input knob" 10 (Kit.Config.max_input ());
       (match Kit.Limits.check_input "elevenbytes" with
       | Some d ->
           Alcotest.(check bool) "mentions the knob" true
@@ -851,6 +852,96 @@ let limits_env () =
       | None -> Alcotest.fail "11 bytes must exceed a 10-byte cap");
       Alcotest.(check bool) "under the cap" true
         (Kit.Limits.check_input "tenbytes!!" = None))
+
+(* --- config ------------------------------------------------------------- *)
+
+(* One malformed value per knob; a knob added to Kit.Config without a
+   row here fails the coverage check. *)
+let malformed =
+  [
+    ("HB_SCALE", "abc"); ("HB_SEED", "12x"); ("HB_BUDGET", "0");
+    ("HB_FUEL", "-1"); ("HB_JOBS", "0"); ("HB_MEM_MB", "abc");
+    ("HB_ISOLATE", "true"); ("HB_WALL", "abc");
+    ("HB_JOURNAL", Filename.get_temp_dir_name ()); ("HB_RESUME", "yes");
+    ("HB_RETRIES", "-1"); ("HB_CACHE", Sys.executable_name);
+    ("HB_FAULT", "boom@x:1"); ("HB_PERF_ITERS", "0");
+    ("HB_GATE", "no-such-dir/gates.txt"); ("HB_IDLE", "-1");
+    ("HB_READ_TIMEOUT", "abc"); ("HB_WRITE_TIMEOUT", "nan");
+    ("HB_DRAIN", "abc"); ("HB_PARSE_DEPTH", "0"); ("HB_MAX_INPUT", "1e9");
+  ]
+
+let config_malformed_named () =
+  let names = List.map (fun k -> k.Kit.Config.name) Kit.Config.knobs in
+  Alcotest.(check (list string)) "a malformed value per knob"
+    (List.sort compare names)
+    (List.sort compare (List.map fst malformed));
+  List.iter
+    (fun (name, bad) ->
+      with_env name bad (fun () ->
+          let prefix = name ^ ": " in
+          match
+            List.filter (String.starts_with ~prefix) (Kit.Config.errors ())
+          with
+          | [ m ] ->
+              Alcotest.(check bool) (name ^ " named") true
+                (String.starts_with ~prefix:(prefix ^ "expected ") m
+                && contains_sub m (Printf.sprintf "got %S" bad))
+          | ms ->
+              Alcotest.failf "%s=%s: expected one error, got [%s]" name bad
+                (String.concat "; " ms)))
+    malformed
+
+let config_unknown_warns () =
+  let listed () = List.mem "HB_NO_SUCH_KNOB" (Kit.Config.unknown ()) in
+  with_env "HB_NO_SUCH_KNOB" "1" (fun () ->
+      Alcotest.(check bool) "unknown listed" true (listed ());
+      Alcotest.(check bool) "not an error" false
+        (List.exists
+           (String.starts_with ~prefix:"HB_NO_SUCH_KNOB")
+           (Kit.Config.errors ())));
+  Alcotest.(check bool) "empty reads as unset" false (listed ())
+
+(* README's "Environment knobs" table lists exactly Kit.Config's names
+   and defaults, in the same order. *)
+let config_readme_in_step () =
+  let ic = open_in_bin "../README.md" in
+  let text =
+    Fun.protect
+      ~finally:(fun () -> close_in_noerr ic)
+      (fun () -> really_input_string ic (in_channel_length ic))
+  in
+  let is_row l = String.starts_with ~prefix:"|" l in
+  let rec section = function
+    | [] -> Alcotest.fail "README has no \"Environment knobs\" section"
+    | l :: rest when String.trim l = "### Environment knobs" -> rest
+    | _ :: rest -> section rest
+  in
+  let rec table = function
+    | l :: rest when is_row l -> l :: table rest
+    | _ -> []
+  in
+  let rec first_table = function
+    | [] -> []
+    | l :: _ as ls when is_row l -> table ls
+    | _ :: rest -> first_table rest
+  in
+  let cell s = String.concat "" (String.split_on_char '`' (String.trim s)) in
+  let rows =
+    List.filter_map
+      (fun l ->
+        match String.split_on_char '|' l with
+        | _ :: name :: default :: _
+          when String.starts_with ~prefix:"HB_" (cell name) ->
+            Some (cell name, cell default)
+        | _ -> None)
+      (first_table (section (String.split_on_char '\n' text)))
+  in
+  Alcotest.(check (list (pair string string)))
+    "README knob table = Kit.Config.knobs"
+    (List.map
+       (fun k -> (k.Kit.Config.name, k.Kit.Config.default))
+       Kit.Config.knobs)
+    rows
 
 (* --- fuzz -------------------------------------------------------------- *)
 
@@ -995,6 +1086,14 @@ let () =
           Alcotest.test_case "json" `Quick diag_json;
         ] );
       ( "limits", [ Alcotest.test_case "env knobs" `Quick limits_env ] );
+      ( "config",
+        [
+          Alcotest.test_case "malformed knob named" `Quick
+            config_malformed_named;
+          Alcotest.test_case "unknown knob warns" `Quick config_unknown_warns;
+          Alcotest.test_case "README table in step" `Quick
+            config_readme_in_step;
+        ] );
       ( "fuzz",
         [
           Alcotest.test_case "determinism" `Quick fuzz_determinism;

@@ -113,8 +113,10 @@ let prop_text_roundtrip () =
   let rng = Rng.create 44 in
   for _ = 1 to n_cases do
     let h = gen_hg rng in
-    match H.parse (H.to_string h) with
-    | Error m -> Alcotest.failf "text round-trip failed to parse: %s" m
+    match H.parse_report (H.to_string h) with
+    | Error ds ->
+        Alcotest.failf "text round-trip failed to parse: %s"
+          (Kit.Diag.to_message ~source:(H.to_string h) ds)
     | Ok h' ->
         Alcotest.(check bool) "text round-trip preserves structure" true
           (H.equal_structure h h');
@@ -126,8 +128,8 @@ let prop_binary_roundtrip () =
   let rng = Rng.create 45 in
   for _ = 1 to n_cases do
     let h = gen_hg rng in
-    match Hg.Binary.of_string (Hg.Binary.to_string h) with
-    | Error m -> Alcotest.failf "binary round-trip failed: %s" m
+    match Hg.Binary.of_string_report (Hg.Binary.to_string h) with
+    | Error d -> Alcotest.failf "binary round-trip failed: %s" d.Kit.Diag.message
     | Ok h' ->
         (* Binary is exact: ids and names survive bit-for-bit. *)
         Alcotest.(check (array string)) "vertex names" h.H.vertex_names
@@ -149,11 +151,13 @@ let prop_text_binary_text () =
   let rng = Rng.create 46 in
   for _ = 1 to n_cases do
     let h = gen_hg rng in
-    match Hg.Binary.of_string (Hg.Binary.to_string h) with
-    | Error m -> Alcotest.failf "binary decode failed: %s" m
+    match Hg.Binary.of_string_report (Hg.Binary.to_string h) with
+    | Error d -> Alcotest.failf "binary decode failed: %s" d.Kit.Diag.message
     | Ok hb -> (
-        match H.parse (H.to_string hb) with
-        | Error m -> Alcotest.failf "text re-parse failed: %s" m
+        match H.parse_report (H.to_string hb) with
+        | Error ds ->
+            Alcotest.failf "text re-parse failed: %s"
+              (Kit.Diag.to_message ~source:(H.to_string hb) ds)
         | Ok ht ->
             Alcotest.(check bool) "text->binary->text structure" true
               (H.equal_structure h ht))
@@ -380,8 +384,10 @@ let quoted_names_roundtrip () =
   let names = [ "plain"; "has space"; "quo\"te"; "back\\slash"; "a(b,c)."; "0digit" ] in
   let h = H.of_named_edges [ ("needs quoting too!", names) ] in
   let text = H.to_string h in
-  match H.parse text with
-  | Error m -> Alcotest.failf "quoted round-trip failed: %s\n%s" m text
+  match H.parse_report text with
+  | Error ds ->
+      Alcotest.failf "quoted round-trip failed: %s\n%s"
+        (Kit.Diag.to_message ~source:text ds) text
   | Ok h' ->
       Alcotest.(check (array string)) "vertex names exact" h.H.vertex_names
         h'.H.vertex_names;
@@ -461,14 +467,16 @@ let prop_binary_mutation_safe () =
     let h = gen_hg rng in
     let blob = Hg.Binary.to_string h in
     let mutated = Kit.Fuzz.mutate rng blob in
-    match Hg.Binary.of_string mutated with
+    match Hg.Binary.of_string_report mutated with
     | Error _ -> incr err
     | Ok h' ->
         incr ok;
         (* Fingerprint cross-check: decode of re-encode agrees. *)
         let reencoded = Hg.Binary.to_string h' in
-        (match Hg.Binary.of_string reencoded with
-        | Error m -> Alcotest.failf "case %d: re-encode undecodable: %s" i m
+        (match Hg.Binary.of_string_report reencoded with
+        | Error d ->
+            Alcotest.failf "case %d: re-encode undecodable: %s" i
+              d.Kit.Diag.message
         | Ok h'' ->
             if H.fingerprint h' <> H.fingerprint h'' then
               Alcotest.failf "case %d: fingerprint unstable after mutation" i)
@@ -509,7 +517,7 @@ let pack_mutation_safe () =
         List.iter
           (fun (inst : B.Instance.t) ->
             let h = inst.B.Instance.hg in
-            match Hg.Binary.of_string (Hg.Binary.to_string h) with
+            match Hg.Binary.of_string_report (Hg.Binary.to_string h) with
             | Ok h' when H.fingerprint h = H.fingerprint h' -> ()
             | _ -> Alcotest.failf "case %d: loaded instance inconsistent" case)
           loaded

@@ -931,8 +931,8 @@ let malformed_hb_jobs () =
                   true
                   (String.length m >= 7 && String.sub m 0 7 = "HB_JOBS")
           in
-          names_knob "Kit.Proc.default_jobs" (fun () ->
-              ignore (Kit.Proc.default_jobs ()));
+          names_knob "Kit.Config.jobs" (fun () ->
+              ignore (Kit.Config.jobs ()));
           names_knob "Serve.Server.default_config" (fun () ->
               ignore (Serve.Server.default_config ()));
           let err_rd, err_wr = Unix.pipe () in
@@ -966,30 +966,54 @@ let malformed_hb_jobs () =
       Alcotest.(check int) "server takes a valid HB_JOBS" 3
         (Serve.Server.default_config ()).Serve.Server.jobs)
 
-(* Same rule for the fuzz seed: a typo must not quietly fuzz seed 2019. *)
-let malformed_hb_fuzz_seed () =
+(* Run the CLI with [name=value] in its environment; answer its exit
+   code and its stderr. *)
+let cli_with_env (name, value) args =
   let env =
-    Array.append [| "HB_FUZZ_SEED=abc" |]
+    Array.append [| name ^ "=" ^ value |]
       (Array.of_list
          (List.filter
-            (fun kv -> not (String.starts_with ~prefix:"HB_FUZZ_SEED=" kv))
+            (fun kv -> not (String.starts_with ~prefix:(name ^ "=") kv))
             (Array.to_list (Unix.environment ()))))
   in
+  let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
   let err_rd, err_wr = Unix.pipe () in
   let pid =
-    Unix.create_process_env exe
-      [| exe; "fuzz"; "--format"; "hg"; "--cases"; "1" |]
-      env Unix.stdin Unix.stdout err_wr
+    Unix.create_process_env exe (Array.append [| exe |] args) env Unix.stdin
+      null err_wr
   in
+  Unix.close null;
   Unix.close err_wr;
   let ic = Unix.in_channel_of_descr err_rd in
-  let line = try input_line ic with End_of_file -> "" in
+  let err = In_channel.input_all ic in
   close_in ic;
-  (match Unix.waitpid [] pid with
-  | _, Unix.WEXITED 1 -> ()
-  | _ -> Alcotest.fail "HB_FUZZ_SEED=abc: fuzz did not exit 1");
-  Alcotest.(check string) "fuzz diagnostic"
-    "hyperbench: HB_FUZZ_SEED: expected an integer, got \"abc\"" line
+  match Unix.waitpid [] pid with
+  | _, Unix.WEXITED code -> (code, err)
+  | _ -> Alcotest.failf "%s=%s: CLI killed by a signal" name value
+
+let fuzz_one = [| "fuzz"; "--format"; "hg"; "--cases"; "1" |]
+
+(* Every knob goes through Kit.Config.check before any command runs. *)
+let malformed_knob_exits_1 () =
+  List.iter
+    (fun (name, value, expected) ->
+      let code, err = cli_with_env (name, value) fuzz_one in
+      Alcotest.(check int) (name ^ " exits 1") 1 code;
+      Alcotest.(check string) (name ^ " diagnostic") expected
+        (List.hd (String.split_on_char '\n' err)))
+    [
+      ( "HB_MEM_MB", "abc",
+        "hyperbench: HB_MEM_MB: expected an integer >= 1, got \"abc\"" );
+      ( "HB_ISOLATE", "true",
+        "hyperbench: HB_ISOLATE: expected 0 or 1, got \"true\"" );
+    ]
+
+let unknown_knob_warns () =
+  let code, err = cli_with_env ("HB_NO_SUCH_KNOB", "1") fuzz_one in
+  Alcotest.(check int) "runs" 0 code;
+  Alcotest.(check bool) "warning" true
+    (List.mem "hyperbench: warning: unknown knob HB_NO_SUCH_KNOB"
+       (String.split_on_char '\n' err))
 
 let () =
   Alcotest.run "serve"
@@ -1047,7 +1071,9 @@ let () =
             expired_deadline_504;
           Alcotest.test_case "malformed HB_JOBS is an error" `Quick
             malformed_hb_jobs;
-          Alcotest.test_case "malformed HB_FUZZ_SEED is an error" `Quick
-            malformed_hb_fuzz_seed;
+          Alcotest.test_case "malformed knob exits 1" `Quick
+            malformed_knob_exits_1;
+          Alcotest.test_case "unknown knob only warns" `Quick
+            unknown_knob_warns;
         ] );
     ]

@@ -6,8 +6,9 @@ module H = Hg.Hypergraph
 let tab_schema = Sql.Schema.of_list [ ("tab", [ "a"; "b"; "c" ]) ]
 
 let convert ?(schema = tab_schema) src =
-  match Sql.Convert.sql_to_hypergraphs ~schema src with
-  | Error m -> Alcotest.failf "parse failed: %s" m
+  match Sql.Convert.sql_to_hypergraphs_report ~schema src with
+  | Error ds ->
+      Alcotest.failf "parse failed: %s" (Kit.Diag.to_message ~source:src ds)
   | Ok results -> results
 
 let hypergraph_of conv =
@@ -166,13 +167,13 @@ let schemaless_inference () =
   Alcotest.(check int) "four vertices" 4 h.H.n_vertices
 
 let parse_errors () =
-  (match Sql.Parser.parse "SELECT FROM WHERE" with
+  (match Sql.Parser.parse_report "SELECT FROM WHERE" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "garbage should fail");
-  (match Sql.Parser.parse "SELECT * FROM t WHERE a =" with
+  (match Sql.Parser.parse_report "SELECT * FROM t WHERE a =" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "truncated should fail");
-  match Sql.Parser.parse "SELECT * FROM t; leftover" with
+  match Sql.Parser.parse_report "SELECT * FROM t; leftover" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "trailing should fail"
 
@@ -236,30 +237,30 @@ let multi_error_report () =
 let depth_bound () =
   (* A parenthesis bomb twice the depth bound must come back as a clean
      Error naming the knob — not Stack_overflow. *)
-  let depth = Kit.Limits.max_depth () * 2 in
+  let depth = Kit.Config.parse_depth () * 2 in
   let src =
     "SELECT " ^ String.make depth '(' ^ "x" ^ String.make depth ')'
     ^ " FROM t"
   in
-  (match Sql.Parser.parse src with
-  | Error m ->
+  (match Sql.Parser.parse_report src with
+  | Error ds ->
       Alcotest.(check bool) "names the knob" true
         (let re = Str.regexp_string "HB_PARSE_DEPTH" in
          try
-           ignore (Str.search_forward re m 0);
+           ignore (Str.search_forward re (Kit.Diag.to_message ~source:src ds) 0);
            true
          with Not_found -> false)
   | Ok _ -> Alcotest.fail "paren bomb must not parse");
   (* NOT chains recurse through a different path. *)
   let nots = String.concat " " (List.init depth (fun _ -> "NOT")) in
-  match Sql.Parser.parse ("SELECT a FROM t WHERE " ^ nots ^ " a = 1") with
+  match Sql.Parser.parse_report ("SELECT a FROM t WHERE " ^ nots ^ " a = 1") with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "NOT bomb must not parse"
 
 let select_spans () =
   let src = "SELECT a FROM t WHERE a = 1" in
-  match Sql.Parser.parse src with
-  | Error m -> Alcotest.fail m
+  match Sql.Parser.parse_report src with
+  | Error ds -> Alcotest.fail (Kit.Diag.to_message ~source:src ds)
   | Ok { body = Select s; _ } ->
       Alcotest.(check int) "span starts at SELECT" 0 s.Sql.Ast.span.Kit.Diag.start;
       Alcotest.(check int) "span covers the statement" (String.length src)

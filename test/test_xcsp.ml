@@ -2,9 +2,12 @@
 
 module H = Hg.Hypergraph
 
+(* Test failure text for a parse that should have succeeded. *)
+let messages ds = String.concat "; " (List.map (fun d -> d.Kit.Diag.message) ds)
+
 let xml_basic () =
-  match Xcsp3.Xml.parse {|<a x="1" y='two'><b/><c>text</c></a>|} with
-  | Error m -> Alcotest.fail m
+  match Xcsp3.Xml.parse_report {|<a x="1" y='two'><b/><c>text</c></a>|} with
+  | Error ds -> Alcotest.fail (messages ds)
   | Ok root ->
       Alcotest.(check (option string)) "tag" (Some "a") (Xcsp3.Xml.tag root);
       Alcotest.(check (option string)) "attr x" (Some "1") (Xcsp3.Xml.attr root "x");
@@ -19,14 +22,14 @@ let xml_declaration_comment () =
       <!-- a comment -->
       <root><!-- inner --><x/></root>|}
   in
-  match Xcsp3.Xml.parse src with
-  | Error m -> Alcotest.fail m
+  match Xcsp3.Xml.parse_report src with
+  | Error ds -> Alcotest.fail (messages ds)
   | Ok root ->
       Alcotest.(check int) "one child" 1 (List.length (Xcsp3.Xml.children root))
 
 let xml_entities () =
-  match Xcsp3.Xml.parse {|<a t="&lt;x&gt;">&amp;&quot;&apos;</a>|} with
-  | Error m -> Alcotest.fail m
+  match Xcsp3.Xml.parse_report {|<a t="&lt;x&gt;">&amp;&quot;&apos;</a>|} with
+  | Error ds -> Alcotest.fail (messages ds)
   | Ok root ->
       Alcotest.(check (option string)) "attr entities" (Some "<x>")
         (Xcsp3.Xml.attr root "t");
@@ -37,7 +40,7 @@ let xml_errors () =
   let bad = [ "<a>"; "<a></b>"; "text only"; "<a attr=oops></a>"; "<a/><b/>" ] in
   List.iter
     (fun src ->
-      match Xcsp3.Xml.parse src with
+      match Xcsp3.Xml.parse_report src with
       | Error _ -> ()
       | Ok _ -> Alcotest.failf "should fail: %s" src)
     bad
@@ -59,8 +62,8 @@ let xcsp_small () =
         </constraints>
       </instance>|}
   in
-  match Xcsp3.Xcsp.read src with
-  | Error m -> Alcotest.fail m
+  match Xcsp3.Xcsp.read_report src with
+  | Error ds -> Alcotest.fail (messages ds)
   | Ok h ->
       Alcotest.(check int) "edges" 2 h.H.n_edges;
       Alcotest.(check int) "vertices" 3 h.H.n_vertices
@@ -84,8 +87,8 @@ let xcsp_arrays_and_groups () =
         </constraints>
       </instance>|}
   in
-  match Xcsp3.Xcsp.parse src with
-  | Error m -> Alcotest.fail m
+  match Xcsp3.Xcsp.parse_report src with
+  | Error ds -> Alcotest.fail (messages ds)
   | Ok inst ->
       Alcotest.(check int) "expanded variables" 4 (List.length inst.Xcsp3.Xcsp.variables);
       Alcotest.(check int) "three constraints" 3 (List.length inst.Xcsp3.Xcsp.scopes);
@@ -100,8 +103,8 @@ let xcsp_matrix_array () =
         <constraints><allDifferent> m[0][0] m[1][1] </allDifferent></constraints>
       </instance>|}
   in
-  match Xcsp3.Xcsp.parse src with
-  | Error m -> Alcotest.fail m
+  match Xcsp3.Xcsp.parse_report src with
+  | Error ds -> Alcotest.fail (messages ds)
   | Ok inst ->
       Alcotest.(check int) "4 cells" 4 (List.length inst.Xcsp3.Xcsp.variables);
       Alcotest.(check (list (list string))) "diagonal scope"
@@ -120,21 +123,21 @@ let xcsp_blocks () =
         </constraints>
       </instance>|}
   in
-  match Xcsp3.Xcsp.read src with
-  | Error m -> Alcotest.fail m
+  match Xcsp3.Xcsp.read_report src with
+  | Error ds -> Alcotest.fail (messages ds)
   | Ok h -> Alcotest.(check int) "nested blocks flattened" 2 h.H.n_edges
 
 let xcsp_errors () =
-  (match Xcsp3.Xcsp.read "<instance><constraints/></instance>" with
+  (match Xcsp3.Xcsp.read_report "<instance><constraints/></instance>" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "missing variables should fail");
   (match
-     Xcsp3.Xcsp.read
+     Xcsp3.Xcsp.read_report
        {|<instance><variables><var id="x"/></variables><constraints></constraints></instance>|}
    with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "no constraints should fail");
-  match Xcsp3.Xcsp.read "<foo/>" with
+  match Xcsp3.Xcsp.read_report "<foo/>" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "wrong root should fail"
 
@@ -153,8 +156,8 @@ let xml_unterminated_comment () =
 
 let xml_cdata () =
   (* CDATA is literal: no entity decoding, markup characters are text. *)
-  (match Xcsp3.Xml.parse "<a><![CDATA[<b>&amp;</b>]]></a>" with
-  | Error m -> Alcotest.fail m
+  (match Xcsp3.Xml.parse_report "<a><![CDATA[<b>&amp;</b>]]></a>" with
+  | Error ds -> Alcotest.fail (messages ds)
   | Ok root ->
       Alcotest.(check string) "literal content" "<b>&amp;</b>"
         (Xcsp3.Xml.text_content root);
@@ -165,13 +168,13 @@ let xml_cdata () =
               (Xcsp3.Xml.children root))));
   (* A CDATA section cannot nest: the first ]]> closes it, the rest is
      ordinary (here: invalid) content. *)
-  (match Xcsp3.Xml.parse "<a><![CDATA[x<![CDATA[y]]></a>" with
-  | Error m -> Alcotest.fail m
+  (match Xcsp3.Xml.parse_report "<a><![CDATA[x<![CDATA[y]]></a>" with
+  | Error ds -> Alcotest.fail (messages ds)
   | Ok root ->
       Alcotest.(check string) "first ]]> closes" "x<![CDATA[y"
         (Xcsp3.Xml.text_content root));
   (* Unterminated CDATA is an error, not an infinite scan. *)
-  match Xcsp3.Xml.parse "<a><![CDATA[never closed" with
+  match Xcsp3.Xml.parse_report "<a><![CDATA[never closed" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "unterminated CDATA should fail"
 
@@ -180,8 +183,8 @@ let xml_megabyte_attribute () =
      (and in linear time). *)
   let big = String.make 1_000_000 'v' in
   let src = Printf.sprintf {|<a huge="%s"><b/></a>|} big in
-  match Xcsp3.Xml.parse src with
-  | Error m -> Alcotest.fail m
+  match Xcsp3.Xml.parse_report src with
+  | Error ds -> Alcotest.fail (messages ds)
   | Ok root -> (
       match Xcsp3.Xml.attr root "huge" with
       | Some v -> Alcotest.(check int) "length preserved" 1_000_000 (String.length v)
@@ -190,8 +193,8 @@ let xml_megabyte_attribute () =
 let xml_undefined_entity () =
   (* Unknown entities pass through verbatim — benchmark files in the wild
      contain bare ampersands and we must not lose bytes around them. *)
-  match Xcsp3.Xml.parse "<a>&unknown; &#x26; &amp;</a>" with
-  | Error m -> Alcotest.fail m
+  match Xcsp3.Xml.parse_report "<a>&unknown; &#x26; &amp;</a>" with
+  | Error ds -> Alcotest.fail (messages ds)
   | Ok root ->
       let t = String.trim (Xcsp3.Xml.text_content root) in
       Alcotest.(check bool) "verbatim unknown entity" true
@@ -200,17 +203,19 @@ let xml_undefined_entity () =
 let xml_depth_bound () =
   (* Nesting twice past HB_PARSE_DEPTH must come back as a clean error
      mentioning the knob, never Stack_overflow. *)
-  let n = 2 * Kit.Limits.max_depth () in
+  let n = 2 * Kit.Config.parse_depth () in
   let buf = Buffer.create (8 * n) in
   for _ = 1 to n do Buffer.add_string buf "<d>" done;
   Buffer.add_string buf "x";
   for _ = 1 to n do Buffer.add_string buf "</d>" done;
-  match Xcsp3.Xml.parse (Buffer.contents buf) with
+  match Xcsp3.Xml.parse_report (Buffer.contents buf) with
   | Ok _ -> Alcotest.fail "depth bomb should fail"
-  | Error m ->
+  | Error ds ->
       Alcotest.(check bool) "names the knob" true
         (try
-           ignore (Str.search_forward (Str.regexp_string "HB_PARSE_DEPTH") m 0);
+           ignore
+             (Str.search_forward (Str.regexp_string "HB_PARSE_DEPTH")
+                (messages ds) 0);
            true
          with Not_found -> false)
 
@@ -224,7 +229,7 @@ let xcsp_array_size_bomb () =
           {|<instance><variables><array id="a" size="%s"> 0..1 </array></variables><constraints><allDifferent> a[] </allDifferent></constraints></instance>|}
           size
       in
-      match Xcsp3.Xcsp.read src with
+      match Xcsp3.Xcsp.read_report src with
       | Error _ -> ()
       | Ok _ -> Alcotest.failf "array bomb %s should fail" size)
     [ "[999999999]"; "[100000][100000]"; "[4611686018427387904][4]" ]
@@ -234,8 +239,8 @@ let roundtrip () =
   for i = 1 to 20 do
     let h = Gen.Random_csp.typical rng in
     let xml = Xcsp3.Xcsp.to_xml ~name:(Printf.sprintf "rt%d" i) h in
-    match Xcsp3.Xcsp.read xml with
-    | Error m -> Alcotest.failf "roundtrip %d: %s" i m
+    match Xcsp3.Xcsp.read_report xml with
+    | Error ds -> Alcotest.failf "roundtrip %d: %s" i (messages ds)
     | Ok h' ->
         Alcotest.(check bool)
           (Printf.sprintf "roundtrip %d structure" i)
@@ -274,8 +279,8 @@ let roundtrip_repository () =
             (Array.map Kit.Bitset.to_list h.H.edges)
         end
       in
-      match Xcsp3.Xcsp.read (Xcsp3.Xcsp.to_xml ~name:i.name h) with
-      | Error m -> Alcotest.failf "%s: %s" i.name m
+      match Xcsp3.Xcsp.read_report (Xcsp3.Xcsp.to_xml ~name:i.name h) with
+      | Error ds -> Alcotest.failf "%s: %s" i.name (messages ds)
       | Ok h' ->
           Alcotest.(check string)
             (i.name ^ ": fingerprint")
