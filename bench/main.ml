@@ -1,21 +1,13 @@
-(* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation (run with no arguments, or name specific artefacts), plus
-   the ablation benches called out in DESIGN.md and the perf, repo,
-   serve and chaos legs.
+(* Benchmark harness: the four measurement legs perf, repo, serve and
+   chaos. The paper's tables, figures and ablation come from
+   `hyperbench campaign --tables` instead (see EXPERIMENTS.md).
 
-   Every HB_* knob it reads (scale, budget or fuel, seed, jobs, journal,
-   isolation, faults, perf iterations, gate file, ...) is one row of
-   Kit.Config's table, listed with its default in README's "Environment
-   knobs"; Kit.Config.check runs first, so a malformed knob exits 1
-   naming it before anything runs.
-
-   HB_JOBS spreads the per-instance analysis over a fixed-size domain
-   pool; results are collected in instance order, so tables and row
-   orderings never depend on the pool interleaving. With the wall-clock
-   HB_BUDGET, verdicts right at the timeout boundary are timing-sensitive
-   between any two runs (at any jobs value); set HB_FUEL for a
-   deterministic budget that makes every verdict and count bit-identical
-   at every HB_JOBS value.
+   The legs fix their own workload: seed 2019, repository scale 0.3 for
+   repo, fuel 50 000 per daemon solve for serve and chaos. The HB_* knobs
+   they read (jobs, isolation, faults, perf iterations, gate file) are
+   rows of Kit.Config's table, listed with their defaults in README's
+   "Environment knobs"; Kit.Config.check runs first, so a malformed knob
+   exits 1 naming it before anything runs.
 
    HB_GATE names the gate file (bench/gates.txt): one "<leg>.<metric> <= v"
    or ">= v" bound per line for the perf and serve legs; each leg checks
@@ -23,11 +15,10 @@
    bound, a gate line naming a metric its leg does not produce, the repo
    leg's cache re-run check, or a chaos violation. Failures to set a leg
    up keep their own codes (6 for the repository, campaign and serve
-   warm-up).
+   warm-up); an unknown leg name exits 1.
 
-   Usage: main.exe [table1|table2|table3|table4|table5|table6|
-                    figure3|figure4|figure5|ablation|perf|repo|
-                    serve|chaos]... *)
+   Usage: main.exe [perf|repo|serve|chaos]...  (no name: perf, repo and
+   serve; chaos runs only when named) *)
 
 let enforce ~leg violations =
   if violations <> [] then begin
@@ -47,6 +38,9 @@ let rec rm_rf path =
       Sys.rmdir path
     end
     else Sys.remove path
+
+(* Every leg's generator seed. *)
+let seed = 2019
 
 (* --- perf: allocation-aware kernel benchmarks -------------------------------- *)
 
@@ -312,32 +306,9 @@ module Repo_bench = struct
         0 (Sys.readdir path)
     else (Unix.stat path).Unix.st_size
 
-  (* Replace every float literal with '#' so measured seconds don't
-     defeat the bit-identity comparison (same normalisation as
-     test_resilience.ml). *)
-  let strip_floats s =
-    let buf = Buffer.create (String.length s) in
-    let n = String.length s in
-    let i = ref 0 in
-    let digit c = c >= '0' && c <= '9' in
-    while !i < n do
-      if digit s.[!i] then begin
-        let j = ref !i in
-        while !j < n && digit s.[!j] do incr j done;
-        if !j < n && s.[!j] = '.' then begin
-          incr j;
-          while !j < n && digit s.[!j] do incr j done;
-          Buffer.add_char buf '#'
-        end
-        else Buffer.add_string buf (String.sub s !i (!j - !i));
-        i := !j
-      end
-      else begin
-        Buffer.add_char buf s.[!i];
-        incr i
-      end
-    done;
-    Buffer.contents buf
+  (* Float literals are measured seconds; '#' them out before comparing
+     (the same normalisation as test_resilience.ml). *)
+  let strip_floats = Str.global_replace (Str.regexp "[0-9]+\\.[0-9]+") "#"
 
   let timed_rate ~n ~iters f =
     let t0 = Unix.gettimeofday () in
@@ -345,9 +316,8 @@ module Repo_bench = struct
     let dt = Unix.gettimeofday () -. t0 in
     float_of_int (n * iters) /. Float.max dt 1e-9
 
-  let main ~seed ~scale ~jobs () =
-    let scale = Stdlib.min scale 0.3 in
-    let fuel = 50_000 in
+  let main () =
+    let scale = 0.3 and fuel = 50_000 in
     let text_dir = "_bench_repo_text" and pack_dir = "_bench_repo_pack" in
     let cache_dir = "_bench_repo_cache" in
     List.iter rm_rf [ text_dir; pack_dir; cache_dir ];
@@ -385,7 +355,7 @@ module Repo_bench = struct
       match
         Experiments.prepare_campaign ~seed ~scale
           ~budget:(fun () -> Kit.Deadline.of_fuel fuel)
-          ~jobs ~isolate:false ~cache ()
+          ~isolate:false ~cache ()
       with
       | Ok c -> c
       | Error m ->
@@ -503,12 +473,13 @@ let with_daemon ~name ~service ~config f =
 let host = "127.0.0.1"
 let headers = [ ("Content-Type", "application/x-hyperbench") ]
 
-let daemon_fuel () =
-  Option.value (Kit.Config.fuel ()) ~default:50_000
+(* Fuel per daemon solve: a deterministic budget, so the verdicts inside
+   the responses (and the chaos leg's replays) never depend on timing. *)
+let daemon_fuel = 50_000
 
 (* The triangle plus generated CSP hypergraphs of the given sizes:
    enough shape variety to mix cache hits, parses and real solves. *)
-let daemon_corpus ~seed sizes =
+let daemon_corpus sizes =
   let rng = Kit.Rng.create seed in
   Array.of_list
     ("e1(a,b),e2(b,c),e3(c,a)."
@@ -540,11 +511,11 @@ module Serve_bench = struct
                 (min (n - 1)
                    (int_of_float ((p /. 100. *. float_of_int (n - 1)) +. 0.5))))
 
-  let main ~seed ~gates () =
+  let main ~gates () =
     Kit.Metrics.enabled := true;
-    let fuel = daemon_fuel () in
+    let fuel = daemon_fuel in
     let corpus_arr =
-      daemon_corpus ~seed [ (8, 10); (12, 16); (16, 22); (20, 28) ]
+      daemon_corpus [ (8, 10); (12, 16); (16, 22); (20, 28) ]
     in
     let service cache =
       {
@@ -675,9 +646,9 @@ module Serve_chaos = struct
   let clients = 4
   let reqs = 25
 
-  let main ~seed () =
+  let main () =
     Kit.Metrics.enabled := true;
-    let fuel = daemon_fuel () in
+    let fuel = daemon_fuel in
     let violations = ref [] in
     let vmu = Mutex.create () in
     let violate fmt =
@@ -688,7 +659,7 @@ module Serve_chaos = struct
           Mutex.unlock vmu)
         fmt
     in
-    let corpus_arr = daemon_corpus ~seed [ (8, 10); (12, 16); (16, 22) ] in
+    let corpus_arr = daemon_corpus [ (8, 10); (12, 16); (16, 22) ] in
     let service cache =
       {
         Benchlib.Service.cache = Some cache;
@@ -899,12 +870,6 @@ end
 
 let () =
   Kit.Config.check ~prog:"bench";
-  let scale = Kit.Config.scale () in
-  let budget_seconds = Kit.Config.budget () in
-  let fuel = Kit.Config.fuel () in
-  let budget, budget_for = Experiments.escalating_budget ?fuel budget_seconds in
-  let seed = Kit.Config.seed () in
-  let jobs = Kit.Config.jobs () in
   let gates =
     match Kit.Config.gate () with
     | None -> []
@@ -915,75 +880,17 @@ let () =
             Printf.eprintf "bench: HB_GATE: %s\n%!" m;
             exit 1)
   in
-  let tables =
-    [ "table1"; "table2"; "table3"; "table4"; "table5"; "table6";
-      "figure3"; "figure4"; "figure5"; "ablation" ]
-  in
   let legs = [ "perf"; "repo"; "serve"; "chaos" ] in
   let args = List.tl (Array.to_list Sys.argv) in
-  (match List.filter (fun a -> not (List.mem a (tables @ legs))) args with
+  (match List.filter (fun a -> not (List.mem a legs)) args with
   | [] -> ()
   | bad ->
-      Printf.eprintf "bench: unknown artefact(s): %s\n%!" (String.concat " " bad);
+      Printf.eprintf "bench: unknown leg(s): %s\n%!" (String.concat " " bad);
       exit 1);
   let wants name = args = [] || List.mem name args in
-  let needs_ctx = List.exists wants tables in
-  Printf.printf
-    "HyperBench reproduction harness (seed=%d scale=%.2f budget=%s jobs=%d%s)\n\n"
-    seed scale
-    (match fuel with
-     | Some f -> Printf.sprintf "%d fuel" f
-     | None -> Printf.sprintf "%.2fs" budget_seconds)
-    jobs
-    (if Kit.Config.isolate () then " isolate" else "");
-  if needs_ctx then begin
-    (* Metrics stay on for the analysis + tables only: the legs below
-       would pollute the (fuel-reproducible) counters reported here. *)
-    Kit.Metrics.enabled := true;
-    let journal = Kit.Config.journal () in
-    let resume = Kit.Config.resume () in
-    let t0 = Unix.gettimeofday () in
-    let campaign =
-      match
-        Experiments.prepare_campaign ~seed ~scale ~budget ~budget_for ~jobs
-          ?journal ~resume ()
-        (* HB_ISOLATE / HB_WALL are picked up inside analyze_outcomes
-           (isolate defaults to Kit.Config.isolate, wall to HB_WALL). *)
-      with
-      | Ok c -> c
-      | Error m ->
-          Printf.eprintf "campaign failed: %s\n%!" m;
-          exit 6
-    in
-    let ctx = campaign.Experiments.context in
-    let wall = Unix.gettimeofday () -. t0 in
-    let solver = Experiments.solver_seconds ctx in
-    Printf.printf
-      "Prepared %d instances; analysis took %.1fs wall on %d jobs (%.1fs solver time, %.1fx speedup)\n\n"
-      (List.length ctx.Experiments.instances)
-      wall jobs solver
-      (if wall > 0.0 then solver /. wall else 1.0);
-    print_endline (Experiments.campaign_summary campaign);
-    let emit name render = if wants name then print_endline (render ctx) in
-    emit "table1" Experiments.table1;
-    emit "table2" Experiments.table2;
-    emit "figure3" Experiments.figure3;
-    emit "figure4" Experiments.figure4;
-    emit "figure5" Experiments.figure5;
-    emit "table3" Experiments.table3;
-    emit "table4" Experiments.table4;
-    emit "table5" Experiments.table5;
-    emit "table6" Experiments.table6;
-    if wants "ablation" then
-      print_endline (Experiments.ablation ~budget ctx);
-    let snap = Kit.Metrics.snapshot () in
-    print_endline (Experiments.metrics_summary snap);
-    write_report "BENCH_metrics.json" (Kit.Metrics.to_json snap);
-    Kit.Metrics.enabled := false
-  end;
-  if wants "repo" then Repo_bench.main ~seed ~scale ~jobs ();
-  if wants "serve" then Serve_bench.main ~seed ~gates ();
+  if wants "repo" then Repo_bench.main ();
+  if wants "serve" then Serve_bench.main ~gates ();
   (* chaos arms the global fault harness, so it never runs by default —
      only when asked for by name *)
-  if List.mem "chaos" args then Serve_chaos.main ~seed ();
+  if List.mem "chaos" args then Serve_chaos.main ();
   if wants "perf" then Perf.main ~gates ()

@@ -690,7 +690,7 @@ let campaign_cmd =
     let* c =
       tag exit_repo
         (Experiments.prepare_campaign ~seed ~scale ~budget ~budget_for
-           ?retries ?mem_mb:mem_limit ~max_k ~jobs ~isolate ~wall ?shard ?cache
+           ~retries ?mem_mb:mem_limit ~max_k ~jobs ~isolate ~wall ?shard ?cache
            ?journal ~resume:(resume <> None) ())
     in
     print_string (Experiments.campaign_summary c);
@@ -706,6 +706,7 @@ let campaign_cmd =
           Experiments.table1; Experiments.table2; Experiments.figure3;
           Experiments.figure4; Experiments.figure5; Experiments.table3;
           Experiments.table4; Experiments.table5; Experiments.table6;
+          Experiments.ablation ~budget;
         ]
     end;
     0
@@ -750,12 +751,11 @@ let campaign_cmd =
   in
   let retries =
     Arg.(
-      value
-      & opt (some int) None
+      value & opt int 0
       & info [ "retries" ] ~docv:"N"
           ~doc:
             "Retry a failed instance up to $(docv) times with doubling \
-             budget (default: $(b,HB_RETRIES) or 0).")
+             budget.")
   in
   let mem_limit =
     Arg.(
@@ -771,7 +771,10 @@ let campaign_cmd =
   let tables =
     Arg.(
       value & flag
-      & info [ "tables" ] ~doc:"Also print every table and figure.")
+      & info [ "tables" ]
+          ~doc:
+            "Also print every table and figure of the paper, then the \
+             design-choice ablation under the same per-run budget.")
   in
   let shard =
     Arg.(

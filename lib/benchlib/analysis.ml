@@ -84,9 +84,8 @@ type task = {
   result : record Kit.Outcome.t;
 }
 
-let analyze_outcomes ?(budget = default_budget) ?budget_for ?retries ?mem_mb
-    ?(max_k = 8) ?jobs ?isolate ?wall ?cache ?on_done instances =
-  let retries = match retries with Some r -> r | None -> Kit.Config.retries () in
+let analyze_outcomes ?(budget = default_budget) ?budget_for ?(retries = 0)
+    ?mem_mb ?(max_k = 8) ?jobs ?isolate ?wall ?cache ?on_done instances =
   let budget_for =
     match budget_for with Some bf -> bf | None -> fun ~attempt:_ -> budget
   in

@@ -74,11 +74,11 @@ val analyze_outcomes :
     recorded outcome instead of destroying the run. Guarantees, in
     addition to {!analyze}'s ordering/determinism:
 
-    - a non-[Ok] outcome is retried up to [retries] times (default: the
-      [HB_RETRIES] environment knob, else 0), each attempt drawing its
-      deadlines from [budget_for ~attempt] — pass an escalating factory
-      (e.g. doubling fuel per attempt) to give hard instances more
-      budget on retry; the default reuses [budget] unchanged;
+    - a non-[Ok] outcome is retried up to [retries] times (default 0),
+      each attempt drawing its deadlines from [budget_for ~attempt] —
+      pass an escalating factory (e.g. doubling fuel per attempt) to
+      give hard instances more budget on retry; the default reuses
+      [budget] unchanged;
     - [mem_mb] (default [HB_MEM_MB]) arms {!Kit.Guard}'s soft memory
       budget for each attempt;
     - [on_done] is called exactly once per instance, on the worker

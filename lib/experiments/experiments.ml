@@ -9,39 +9,7 @@ type context = {
   records : Analysis.record list;
   ghd : Analysis.ghd_record list;
   frac : Analysis.frac_record list;
-  stats : Kit.Metrics.snapshot;
 }
-
-let prepare ?(seed = 2019) ?(scale = 1.0) ?(budget_seconds = 1.0) ?budget
-    ?(max_k = 8) ?jobs ?cache () =
-  let budget =
-    match budget with
-    | Some b -> b
-    | None -> fun () -> Kit.Deadline.of_seconds budget_seconds
-  in
-  let instances = Repository.build ~seed ~scale () in
-  let records = Analysis.analyze ~budget ~max_k ?jobs ?cache instances in
-  let ghd = Analysis.ghd_comparison ~budget ?jobs records in
-  let frac = Analysis.fractional ~budget ?jobs records in
-  { instances; records; ghd; frac; stats = Kit.Metrics.snapshot () }
-
-(* Solver seconds actually measured by the analysis pass: the sequential-
-   equivalent cost, used by bench/main.ml to report the pool speedup. *)
-let solver_seconds ctx =
-  let hw =
-    List.fold_left
-      (fun acc r ->
-        List.fold_left
-          (fun a (run : Analysis.hw_run) -> a +. run.seconds)
-          acc r.Analysis.hw_runs)
-      0.0 ctx.records
-  in
-  List.fold_left
-    (fun acc g ->
-      List.fold_left
-        (fun a (r : Analysis.ghd_run) -> a +. r.seconds)
-        acc g.Analysis.runs)
-    hw ctx.ghd
 
 let group_records ctx g =
   List.filter (fun r -> r.Analysis.instance.Instance.group = g) ctx.records
@@ -474,58 +442,6 @@ let ablation ?budget ?(budget_seconds = 1.0) ctx =
        reducible (List.length ctx.records) shrink_e shrink_v);
   Buffer.contents buf
 
-(* --- metrics summary ------------------------------------------------------------ *)
-
-(* Which paper artefact each metric family informs; EXPERIMENTS.md holds
-   the full per-metric catalogue. *)
-let metric_support name =
-  let has p = String.starts_with ~prefix:p name in
-  if has "detk." then "Fig 4, Tables 3-4 (HD search effort)"
-  else if has "balsep." then "Table 3 (BalSep)"
-  else if has "subedges." then "Table 3 (f(H,k) subedge pools)"
-  else if has "globalbip." then "Table 3 (GlobalBIP)"
-  else if has "localbip." then "Table 3 (LocalBIP)"
-  else if has "lp." then "Tables 5-6 (fractional LP)"
-  else if has "portfolio." then "Table 4 (combined portfolio)"
-  else "-"
-
-let metrics_summary (snap : Kit.Metrics.snapshot) =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "Search metrics (whole run)\n";
-  Buffer.add_string buf
-    (Printf.sprintf "%-28s %18s   %s\n" "metric" "value" "supports");
-  List.iter
-    (fun (name, v) ->
-      if v <> 0 then
-        Buffer.add_string buf
-          (Printf.sprintf "%-28s %18d   %s\n" name v (metric_support name)))
-    snap.Kit.Metrics.counters;
-  List.iter
-    (fun (name, (n, secs)) ->
-      if n <> 0 then
-        Buffer.add_string buf
-          (Printf.sprintf "%-28s %8d x %6.3fs   %s\n" name n secs
-             (metric_support name)))
-    snap.Kit.Metrics.timers;
-  List.iter
-    (fun (name, (edges, counts)) ->
-      if Array.fold_left ( + ) 0 counts <> 0 then begin
-        let cells =
-          String.concat ", "
-            (Array.to_list
-               (Array.mapi
-                  (fun i c ->
-                    if i < Array.length edges then
-                      Printf.sprintf "<=%d: %d" edges.(i) c
-                    else Printf.sprintf ">%d: %d" edges.(Array.length edges - 1) c)
-                  counts))
-        in
-        Buffer.add_string buf
-          (Printf.sprintf "%-28s [%s]   %s\n" name cells (metric_support name))
-      end)
-    snap.Kit.Metrics.histograms;
-  Buffer.contents buf
-
 (* --- fault-tolerant campaigns ---------------------------------------------- *)
 
 module Journal = Journal
@@ -828,7 +744,7 @@ let prepare_campaign ?(seed = 2019) ?(scale = 1.0) ?(budget_seconds = 1.0)
       Ok
         {
           context =
-            { instances; records; ghd; frac; stats = Kit.Metrics.snapshot () };
+            { instances; records; ghd; frac };
           tasks;
           resumed = List.length resumed_tasks;
           journal_corrupt;
@@ -969,19 +885,3 @@ let campaign_summary c =
       end)
     c.tasks;
   Buffer.contents buf
-
-let run_all ?seed ?scale ?budget_seconds () =
-  let ctx = prepare ?seed ?scale ?budget_seconds () in
-  String.concat "\n"
-    [
-      table1 ctx;
-      table2 ctx;
-      figure3 ctx;
-      figure4 ctx;
-      figure5 ctx;
-      table3 ctx;
-      table4 ctx;
-      table5 ctx;
-      table6 ctx;
-      ablation ?budget_seconds ctx;
-    ]

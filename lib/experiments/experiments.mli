@@ -1,6 +1,6 @@
 (** Reproductions of every table and figure of the paper's evaluation
     (§5.6 and §6). Each function renders one artefact in the paper's shape
-    from a shared analysis pass; [run_all] executes them in order.
+    from the shared analysis pass of {!prepare_campaign}.
 
     Absolute counts differ from the paper (our repository is a seeded,
     scaled rebuild of sources that are not redistributable; see DESIGN.md)
@@ -13,35 +13,7 @@ type context = {
   records : Benchlib.Analysis.record list;
   ghd : Benchlib.Analysis.ghd_record list;
   frac : Benchlib.Analysis.frac_record list;
-  stats : Kit.Metrics.snapshot;
-      (** global metrics snapshot taken when [prepare] finished — the
-          accumulated search effort of the whole analysis pass
-          ({!Kit.Metrics.empty} unless [Kit.Metrics.enabled] was set) *)
 }
-
-val prepare :
-  ?seed:int ->
-  ?scale:float ->
-  ?budget_seconds:float ->
-  ?budget:(unit -> Kit.Deadline.t) ->
-  ?max_k:int ->
-  ?jobs:int ->
-  ?cache:Benchlib.Result_cache.t ->
-  unit ->
-  context
-(** Build the repository and run the shared hw / ghw / fractional
-    analyses. [cache] consults/feeds a content-addressed
-    {!Benchlib.Result_cache} during the hw ladder. [budget_seconds] (default 1.0) is the per-run timeout — the
-    scaled-down stand-in for the paper's 3600 s; [budget] overrides it
-    with an arbitrary per-run deadline factory (e.g.
-    [Kit.Deadline.of_fuel] for bit-reproducible runs). [jobs] (default
-    {!Kit.Config.jobs}, i.e. the [HB_JOBS] knob) runs the
-    per-instance loops on a domain pool. Results are collected in
-    instance order, so verdicts and table contents do not depend on the
-    pool interleaving; with a wall-clock budget, runs close to the
-    timeout boundary remain timing-sensitive (between any two runs, at
-    any [jobs]), while a fuel budget makes the tables identical at every
-    [jobs] value. *)
 
 val table1 : context -> string
 (** Benchmark overview: instances and cyclic counts per source. *)
@@ -76,18 +48,7 @@ val ablation :
 (** Design-choice ablations: DetKDecomp failure memoisation on/off and
     BalSep with/without the subedge fallback. [budget] overrides the
     wall-clock [budget_seconds] with an arbitrary deadline factory (pass a
-    [Kit.Deadline.of_fuel] thunk to keep the whole bench deterministic). *)
-
-val metrics_summary : Kit.Metrics.snapshot -> string
-(** Render every non-zero metric of a snapshot together with the paper
-    artefact it supports (the mapping is documented in EXPERIMENTS.md). *)
-
-val solver_seconds : context -> float
-(** Total solver time measured across the analysis (the sequential-
-    equivalent cost); divide by the wall-clock time of {!prepare} to
-    estimate the pool speedup. *)
-
-val run_all : ?seed:int -> ?scale:float -> ?budget_seconds:float -> unit -> string
+    [Kit.Deadline.of_fuel] thunk to keep the whole campaign deterministic). *)
 
 (** {1 Fault-tolerant campaigns} *)
 
@@ -134,7 +95,17 @@ val prepare_campaign :
   ?resume:bool ->
   unit ->
   (campaign, string) result
-(** {!prepare}, hardened for long campaigns. Every instance runs inside
+(** Build the repository and run the shared hw / ghw / fractional
+    analyses that every table and figure renders from.
+    [budget_seconds] (default 1.0) is the per-run timeout, the
+    scaled-down stand-in for the paper's 3600 s; [budget] overrides it
+    with any per-run deadline factory ([Kit.Deadline.of_fuel] for
+    bit-reproducible runs). [jobs] (default {!Kit.Config.jobs}) runs the
+    per-instance loops on a domain pool; results are collected in
+    instance order, so with a fuel budget the tables are identical at
+    every [jobs] value.
+
+    Every instance runs inside
     {!Kit.Guard.run} (via {!Benchlib.Analysis.analyze_outcomes}): a
     crash, stack overflow, [HB_MEM_MB] trip or leaked timeout becomes
     that instance's recorded outcome and the campaign continues.

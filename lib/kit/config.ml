@@ -57,17 +57,10 @@ let path key ~expected ok =
 
 let is_dir v = Sys.file_exists v && Sys.is_directory v
 
-let scale_k = number ~strict:true "HB_SCALE"
-let seed_k = int "HB_SEED"
-let budget_k = number ~strict:true "HB_BUDGET"
-let fuel_k = int ~min:0 "HB_FUEL"
 let jobs_k = int ~min:1 "HB_JOBS"
 let mem_mb_k = int ~min:1 "HB_MEM_MB"
 let isolate_k = flag "HB_ISOLATE"
 let wall_k = number ~strict:true "HB_WALL"
-let journal_k = path "HB_JOURNAL" ~expected:"a file path" (fun v -> not (is_dir v))
-let resume_k = flag "HB_RESUME"
-let retries_k = int ~min:0 "HB_RETRIES"
 
 let cache_k =
   path "HB_CACHE" ~expected:"a directory path" (fun v ->
@@ -104,22 +97,12 @@ let row s ~default doc =
 
 let rows =
   [
-    row scale_k ~default:"1.0" "Repository scale factor of the bench.";
-    row seed_k ~default:"2019" "Repository generator seed of the bench.";
-    row budget_k ~default:"0.5 s" "Per-run timeout of the bench in seconds.";
-    row fuel_k ~default:"unset"
-      "Per-run fuel budget of the bench; overrides HB_BUDGET when > 0.";
     row jobs_k ~default:"all cores"
       "Width of the analysis pool and of the serve worker pool.";
     row mem_mb_k ~default:"unset" "Per-instance memory budget in MiB.";
     row isolate_k ~default:"0"
       "1 runs each instance in a forked worker process.";
     row wall_k ~default:"3600 s" "Watchdog budget per attempt under HB_ISOLATE.";
-    row journal_k ~default:"BENCH_journal.jsonl"
-      "Campaign journal of the bench; empty disables journaling.";
-    row resume_k ~default:"0" "1 resumes the bench campaign from HB_JOURNAL.";
-    row retries_k ~default:"0"
-      "Retries of a failed instance, doubling its budget.";
     row cache_k ~default:"unset" "Directory of the result cache.";
     row fault_k ~default:"unset" "Fault-injection spec (see Kit.Fault).";
     row perf_iters_k ~default:"10000" "Iterations per kernel of bench perf.";
@@ -159,11 +142,6 @@ let check ~prog =
   if errs <> [] then exit 1;
   Option.iter (fun spec -> ignore (Fault.configure spec)) (fault ())
 
-let scale () = Option.value (get scale_k) ~default:1.0
-let seed () = Option.value (get seed_k) ~default:2019
-let budget () = Option.value (get budget_k) ~default:0.5
-let fuel () = match get fuel_k with Some f when f > 0 -> Some f | _ -> None
-
 let jobs () =
   match get jobs_k with Some j -> j | None -> Domain.recommended_domain_count ()
 
@@ -171,13 +149,6 @@ let mem_mb () = get mem_mb_k
 let isolate () = Option.value (get isolate_k) ~default:false
 let wall () = get wall_k
 
-let journal () =
-  match Sys.getenv_opt journal_k.key with
-  | Some "" -> None
-  | _ -> Some (Option.value (get journal_k) ~default:"BENCH_journal.jsonl")
-
-let resume () = Option.value (get resume_k) ~default:false
-let retries () = Option.value (get retries_k) ~default:0
 let cache () = get cache_k
 let perf_iters () = Option.value (get perf_iters_k) ~default:10_000
 let gate () = get gate_k

@@ -4,8 +4,7 @@
     validator; README's "Environment knobs" table lists the same names
     and defaults (a test keeps the two in step). The typed accessors
     re-read the environment on every call, so a [putenv] takes effect at
-    once. An empty value reads as unset, except [HB_JOURNAL=""], which
-    disables journaling.
+    once. An empty value reads as unset.
 
     A set value that fails its validator is never replaced by the
     default: its accessor raises
@@ -19,7 +18,7 @@ type knob = {
 }
 
 val knobs : knob list
-(** The table: 21 knobs, in README order. *)
+(** The table: 14 knobs, in README order. *)
 
 val errors : unit -> string list
 (** One ["HB_X: expected <what>, got \"<value>\""] message per malformed
@@ -42,14 +41,6 @@ val check : prog:string -> unit
     Each raises [Invalid_argument] naming its knob on a malformed
     value. *)
 
-val scale : unit -> float  (** [HB_SCALE], > 0; 1.0 *)
-
-val seed : unit -> int  (** [HB_SEED]; 2019 *)
-
-val budget : unit -> float  (** [HB_BUDGET] seconds, > 0; 0.5 *)
-
-val fuel : unit -> int option  (** [HB_FUEL], >= 0; [None] when unset or 0 *)
-
 val jobs : unit -> int  (** [HB_JOBS], >= 1; all cores *)
 
 val mem_mb : unit -> int option  (** [HB_MEM_MB], >= 1; [None] *)
@@ -57,14 +48,6 @@ val mem_mb : unit -> int option  (** [HB_MEM_MB], >= 1; [None] *)
 val isolate : unit -> bool  (** [HB_ISOLATE], [0] or [1]; [false] *)
 
 val wall : unit -> float option  (** [HB_WALL] seconds, > 0; [None] *)
-
-val journal : unit -> string option
-(** [HB_JOURNAL], a path that is not a directory;
-    ["BENCH_journal.jsonl"] when unset, [None] when empty. *)
-
-val resume : unit -> bool  (** [HB_RESUME], [0] or [1]; [false] *)
-
-val retries : unit -> int  (** [HB_RETRIES], >= 0; 0 *)
 
 val cache : unit -> string option  (** [HB_CACHE], absent or a directory; [None] *)
 

@@ -317,7 +317,12 @@ let experiments_render () =
   (* jobs:2 renders through the domain pool; the artefact shape checks
      below are jobs-independent. *)
   let ctx =
-    Experiments.prepare ~seed:7 ~scale:0.05 ~budget_seconds:0.2 ~max_k:4 ~jobs:2 ()
+    match
+      Experiments.prepare_campaign ~seed:7 ~scale:0.05 ~budget_seconds:0.2
+        ~max_k:4 ~jobs:2 ()
+    with
+    | Ok c -> c.Experiments.context
+    | Error m -> Alcotest.fail m
   in
   let checks =
     [
@@ -330,6 +335,8 @@ let experiments_render () =
       (Experiments.table4 ctx, "Table 4");
       (Experiments.table5 ctx, "Table 5");
       (Experiments.table6 ctx, "Table 6");
+      ( Experiments.ablation ~budget_seconds:0.2 ctx,
+        "Ablation: design choices" );
     ]
   in
   List.iter

@@ -337,7 +337,8 @@ let read_whole path =
     (fun () -> really_input_string ic (in_channel_length ic))
 
 (* --stats-json -: stdout must carry exactly one JSON document; all the
-   human-facing chatter moves to stderr. *)
+   human-facing chatter (a campaign's tables included) moves to
+   stderr. *)
 let stats_json_stdout_is_parseable () =
   (* The test binary lives in _build/default/test/; the CLI is its
      sibling at _build/default/bin/ (a declared dune dep). *)
@@ -358,20 +359,28 @@ let stats_json_stdout_is_parseable () =
       let oc = open_out hg in
       output_string oc "e1(a,b,c),\ne2(c,d),\ne3(d,e,a).\n";
       close_out oc;
-      let cmd =
-        Printf.sprintf "%s analyze %s --max-k 3 --stats-json - >%s 2>%s"
-          (Filename.quote exe) (Filename.quote hg) (Filename.quote out)
-          (Filename.quote err)
-      in
-      Alcotest.(check int) "analyze exits 0" 0 (Sys.command cmd);
-      (match Kit.Json.of_string (String.trim (read_whole out)) with
-      | Ok (Kit.Json.Obj _) -> ()
-      | Ok _ -> Alcotest.fail "stdout JSON is not an object"
-      | Error m ->
-          Alcotest.failf "stdout is not machine-parseable: %s\n---\n%s" m
-            (read_whole out));
-      Alcotest.(check bool) "chatter routed to stderr" true
-        (String.length (read_whole err) > 0))
+      List.iter
+        (fun (what, args, chatter) ->
+          let cmd =
+            Printf.sprintf "%s %s --stats-json - >%s 2>%s" (Filename.quote exe)
+              args (Filename.quote out) (Filename.quote err)
+          in
+          Alcotest.(check int) (what ^ " exits 0") 0 (Sys.command cmd);
+          (match Kit.Json.of_string (String.trim (read_whole out)) with
+          | Ok (Kit.Json.Obj _) -> ()
+          | Ok _ -> Alcotest.failf "%s: stdout JSON is not an object" what
+          | Error m ->
+              Alcotest.failf "%s: stdout is not machine-parseable: %s\n---\n%s"
+                what m (read_whole out));
+          Alcotest.(check bool) (what ^ ": chatter routed to stderr") true
+            (contains ~sub:chatter (read_whole err)))
+        [
+          ("analyze", Printf.sprintf "analyze %s --max-k 3" (Filename.quote hg),
+           "hw = ");
+          ( "campaign",
+            "campaign --scale 0.05 --fuel 2000 --tables",
+            "Ablation: design choices" );
+        ])
 
 let () =
   Alcotest.run "isolation"

@@ -859,11 +859,8 @@ let limits_env () =
    row here fails the coverage check. *)
 let malformed =
   [
-    ("HB_SCALE", "abc"); ("HB_SEED", "12x"); ("HB_BUDGET", "0");
-    ("HB_FUEL", "-1"); ("HB_JOBS", "0"); ("HB_MEM_MB", "abc");
-    ("HB_ISOLATE", "true"); ("HB_WALL", "abc");
-    ("HB_JOURNAL", Filename.get_temp_dir_name ()); ("HB_RESUME", "yes");
-    ("HB_RETRIES", "-1"); ("HB_CACHE", Sys.executable_name);
+    ("HB_JOBS", "0"); ("HB_MEM_MB", "abc"); ("HB_ISOLATE", "true");
+    ("HB_WALL", "abc"); ("HB_CACHE", Sys.executable_name);
     ("HB_FAULT", "boom@x:1"); ("HB_PERF_ITERS", "0");
     ("HB_GATE", "no-such-dir/gates.txt"); ("HB_IDLE", "-1");
     ("HB_READ_TIMEOUT", "abc"); ("HB_WRITE_TIMEOUT", "nan");

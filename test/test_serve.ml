@@ -1008,12 +1008,16 @@ let malformed_knob_exits_1 () =
         "hyperbench: HB_ISOLATE: expected 0 or 1, got \"true\"" );
     ]
 
+(* A retired knob (now a campaign flag) warns like any unknown name. *)
 let unknown_knob_warns () =
-  let code, err = cli_with_env ("HB_NO_SUCH_KNOB", "1") fuzz_one in
-  Alcotest.(check int) "runs" 0 code;
-  Alcotest.(check bool) "warning" true
-    (List.mem "hyperbench: warning: unknown knob HB_NO_SUCH_KNOB"
-       (String.split_on_char '\n' err))
+  List.iter
+    (fun (name, value) ->
+      let code, err = cli_with_env (name, value) fuzz_one in
+      Alcotest.(check int) (name ^ " runs") 0 code;
+      Alcotest.(check bool) (name ^ " warning") true
+        (List.mem ("hyperbench: warning: unknown knob " ^ name)
+           (String.split_on_char '\n' err)))
+    [ ("HB_NO_SUCH_KNOB", "1"); ("HB_SCALE", "0.1") ]
 
 let () =
   Alcotest.run "serve"
