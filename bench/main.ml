@@ -170,10 +170,27 @@ module Perf = struct
     assert (B.subset (Hg.Components.heavy_vertices medium ~within:all ~special:[||]) sep);
     assert (not (is_balanced_ref medium ~within:all ~special:[||] sep));
     assert (not (Hg.Components.is_balanced medium ~within:all ~special:[||] sep));
-    let kernel ?baseline op current =
+    let kernel ?baseline ?(iters = iters) op current =
       let ns, words = measure current iters in
       { op; ns; words; base = Option.map (fun b -> measure b iters) baseline }
     in
+    (* Whole searches: one fuel-limited run on [medium] that times out,
+       so an op is a fixed amount of search and words/op is what its
+       nodes allocate. A run costs about as much as 1,000 kernel calls. *)
+    let timed_out what = function
+      | Detk.Timeout -> ()
+      | _ -> failwith (what ^ ": medium finished within its fuel")
+    in
+    let detk_solve () =
+      Detk.solve ~deadline:(Kit.Deadline.of_fuel 5_000) medium ~k:2
+    in
+    let bal_sep_solve () =
+      (Ghd.Bal_sep.solve ~deadline:(Kit.Deadline.of_fuel 5_000) medium ~k:3)
+        .Ghd.Bal_sep.outcome
+    in
+    timed_out "detk_solve" (detk_solve ());
+    timed_out "bal_sep_solve" (bal_sep_solve ());
+    let search_iters = Stdlib.max 1 (iters / 1000) in
     (* A 12-vertex bag of [medium] that 39 edges meet: ρ* is a 39-row
        packing LP. *)
     let bag = B.of_list nv (List.init 12 (fun i -> 8 + i)) in
@@ -196,6 +213,8 @@ module Perf = struct
           ~baseline:(fun () -> is_balanced_ref medium ~within:all ~special:[||] sep)
           (fun () -> Hg.Components.is_balanced medium ~within:all ~special:[||] sep);
         kernel "rho_star" (fun () -> Fhd.Frac_cover.rho_star medium bag);
+        kernel "detk_solve" ~iters:search_iters detk_solve;
+        kernel "bal_sep_solve" ~iters:search_iters bal_sep_solve;
       ]
     in
     (* Whole-instance runs: end-to-end effect of the kernel on the search. *)

@@ -72,15 +72,17 @@ let sweep_cache () : sweep_cache = Cache.create 256
      be strictly smaller (guaranteed for normal-form HDs, cf. GLS02
      Theorem 5.4), which bounds the recursion depth.
 
-   Hot-path discipline: all intermediate sets (component vertices, scope,
-   the per-depth covered accumulators) live in scratch buffers borrowed
-   from a per-call arena, and the prune tests are the allocation-free
-   [subset]/[diff_subset] forms. Only values that escape the search —
-   bags, child connectors, memo keys — are freshly allocated. *)
+   Hot-path discipline: a search node pays one [Deadline.check] and
+   otherwise runs plain word loops over flat rows ([Bitset.words_out]
+   fills them once per subproblem), so it allocates nothing and calls
+   into no other module. λ is an index stack. Only values that escape
+   the search — bags, child connectors, memo keys — are freshly
+   allocated. *)
 let solve_gen ?(deadline = Deadline.none) ?(memoize = true) ?sweep ?extra
     ?(bag_filter = fun _ -> true) ~candidates h ~k =
   if k < 1 then invalid_arg "Detk.solve_gen: k must be >= 1";
   let nv = h.Hypergraph.n_vertices in
+  let w = Bitset.word_count nv in
   let failed : sweep_cache =
     match sweep with Some t -> t | None -> Cache.create 256
   in
@@ -116,6 +118,9 @@ let solve_gen ?(deadline = Deadline.none) ?(memoize = true) ?sweep ?extra
     let scope = Bitset.Scratch.borrow arena nv in
     Bitset.copy_into comp_vertices ~into:scope;
     Bitset.union_into ~into:scope conn;
+    let conn_row = Array.make w 0 and comp_row = Array.make w 0 in
+    Bitset.words_out ~universe:nv conn conn_row 0;
+    Bitset.words_out ~universe:nv comp_vertices comp_row 0;
     let try_with cands =
       let relevant =
         Array.of_list
@@ -131,97 +136,128 @@ let solve_gen ?(deadline = Deadline.none) ?(memoize = true) ?sweep ?extra
       Array.sort (fun (ra, _) (rb, _) -> compare rb ra) keyed;
       let relevant = Array.map snd keyed in
       let n = Array.length relevant in
-      (* suffix.(i): union of candidate vertex sets from i on; used to prune
-         branches that can no longer cover the connector. These n+1 sets
-         coexist for the whole search, so they are real allocations. *)
-      let suffix = Array.make (n + 1) (Bitset.empty nv) in
+      (* Row i of [cand] is relevant.(i); row i of [suffix] the union of
+         rows i.. of [cand], used to prune branches that can no longer
+         cover the connector (row n is empty); row d of [covered] is
+         B(λ) for the d candidates picked so far, and depth d+1
+         overwrites its row on every branch. picks.(d) is the index of
+         the d-th pick. *)
+      let cand = Array.make (n * w) 0 in
+      Array.iteri
+        (fun i c -> Bitset.words_out ~universe:nv c.vertices cand (i * w))
+        relevant;
+      let suffix = Array.make ((n + 1) * w) 0 in
       for i = n - 1 downto 0 do
-        suffix.(i) <- Bitset.union suffix.(i + 1) relevant.(i).vertices
+        for j = 0 to w - 1 do
+          suffix.((i * w) + j) <- suffix.(((i + 1) * w) + j) lor cand.((i * w) + j)
+        done
       done;
-      let evaluate lambda covered =
+      let covered = Array.make ((k + 1) * w) 0 in
+      let picks = Array.make k 0 in
+      (* conn ∖ covered(d) ⊆ suffix(idx): the rest can still cover conn. *)
+      let coverable d idx =
+        let c0 = d * w and s0 = idx * w in
+        let j = ref 0 in
+        while
+          !j < w
+          && conn_row.(!j) land lnot covered.(c0 + !j) land lnot suffix.(s0 + !j) = 0
+        do
+          incr j
+        done;
+        !j = w
+      in
+      let covers_conn d =
+        let c0 = d * w in
+        let j = ref 0 in
+        while !j < w && conn_row.(!j) land lnot covered.(c0 + !j) = 0 do
+          incr j
+        done;
+        !j = w
+      in
+      (* B(λ) ∩ V(comp) ≠ ∅; V(comp) ⊆ scope, so this is the bag's. *)
+      let reaches_comp d =
+        let c0 = d * w in
+        let j = ref 0 in
+        while !j < w && covered.(c0 + !j) land comp_row.(!j) = 0 do
+          incr j
+        done;
+        !j < w
+      in
+      let evaluate depth =
         Metrics.incr m_covers;
-        (* Fresh: the bag escapes into the decomposition on success and
-           is handed to the caller's [bag_filter] either way. *)
-        let bag = Bitset.inter covered scope in
-        if not (Bitset.intersects bag comp_vertices) then None
-        else if not (bag_filter bag) then begin
-          Metrics.incr m_bag_rejections;
-          None
-        end
+        if not (reaches_comp depth) then None
         else begin
-          let comps = Hg.Components.components h ~within:comp bag in
-          let total = Bitset.cardinal comp in
-          if List.exists (fun c -> Bitset.cardinal c >= total) comps then None
-          else
-            let rec build = function
-              | [] -> Some []
-              | c :: rest -> (
-                  let child_conn =
-                    let cv = Bitset.Scratch.borrow arena nv in
-                    Hypergraph.vertices_of_edges_into h c ~into:cv;
-                    let conn' = Bitset.inter cv bag in
-                    Bitset.Scratch.release arena cv;
-                    conn'
-                  in
-                  match decompose c child_conn with
-                  | None -> None
-                  | Some node -> (
-                      match build rest with
-                      | None -> None
-                      | Some nodes -> Some (node :: nodes)))
-            in
-            match build comps with
-            | None -> None
-            | Some children ->
-                Some
-                  {
-                    Decomp.bag;
-                    cover = List.map to_cover_elt (List.rev lambda);
-                    children;
-                  }
+          (* Fresh: the bag escapes into the decomposition on success and
+             is handed to the caller's [bag_filter] either way. *)
+          let bag = Bitset.empty nv in
+          Bitset.words_in ~universe:nv covered (depth * w) bag;
+          Bitset.inter_into ~into:bag scope;
+          if not (bag_filter bag) then begin
+            Metrics.incr m_bag_rejections;
+            None
+          end
+          else begin
+            let comps = Hg.Components.components h ~within:comp bag in
+            let total = Bitset.cardinal comp in
+            if List.exists (fun c -> Bitset.cardinal c >= total) comps then None
+            else
+              let rec build = function
+                | [] -> Some []
+                | c :: rest -> (
+                    let child_conn =
+                      let cv = Bitset.Scratch.borrow arena nv in
+                      Hypergraph.vertices_of_edges_into h c ~into:cv;
+                      let conn' = Bitset.inter cv bag in
+                      Bitset.Scratch.release arena cv;
+                      conn'
+                    in
+                    match decompose c child_conn with
+                    | None -> None
+                    | Some node -> (
+                        match build rest with
+                        | None -> None
+                        | Some nodes -> Some (node :: nodes)))
+              in
+              match build comps with
+              | None -> None
+              | Some children ->
+                  Some
+                    {
+                      Decomp.bag;
+                      cover =
+                        List.init depth (fun d ->
+                            to_cover_elt relevant.(picks.(d)));
+                      children;
+                    }
+          end
         end
       in
-      (* covered_bufs.(d) is B(λ) for the d candidates picked so far;
-         depth d+1 overwrites its buffer on every branch, so the whole
-         backtracking search reuses k+1 buffers. *)
-      let covered_bufs =
-        Array.init (k + 1) (fun _ -> Bitset.Scratch.borrow arena nv)
-      in
-      let rec search idx depth lambda =
+      let rec search idx depth =
         Deadline.check deadline;
-        let covered = covered_bufs.(depth) in
         (* Prune: remaining candidates can never finish covering conn. *)
-        if not (Bitset.diff_subset conn covered suffix.(idx)) then None
+        if not (coverable depth idx) then None
         else begin
           let here =
-            if depth > 0 && Bitset.subset conn covered then
-              evaluate lambda covered
-            else None
+            if depth > 0 && covers_conn depth then evaluate depth else None
           in
           match here with
           | Some _ as r -> r
-          | None ->
-              if depth = k || idx >= n then None
-              else begin
-                let rec try_from i =
-                  if i >= n then None
-                  else begin
-                    let c = relevant.(i) in
-                    let nxt = covered_bufs.(depth + 1) in
-                    Bitset.copy_into covered ~into:nxt;
-                    Bitset.union_into ~into:nxt c.vertices;
-                    match search (i + 1) (depth + 1) (c :: lambda) with
-                    | Some _ as r -> r
-                    | None -> try_from (i + 1)
-                  end
-                in
-                try_from idx
-              end
+          | None -> if depth = k || idx >= n then None else try_from idx depth
+        end
+      and try_from i depth =
+        if i >= n then None
+        else begin
+          let src = depth * w and dst = (depth + 1) * w and c0 = i * w in
+          for j = 0 to w - 1 do
+            covered.(dst + j) <- covered.(src + j) lor cand.(c0 + j)
+          done;
+          picks.(depth) <- i;
+          match search (i + 1) (depth + 1) with
+          | Some _ as r -> r
+          | None -> try_from (i + 1) depth
         end
       in
-      let r = search 0 0 [] in
-      Array.iter (Bitset.Scratch.release arena) covered_bufs;
-      r
+      search 0 0
     in
     let r =
       match try_with candidates with

@@ -91,6 +91,48 @@ module Frac_cover = struct
         done;
         Some { weight = sol.Lp.value; gamma = !gamma }
 
+  (* Certified bounds without an LP. No edge holds two of the packed
+     vertices, so y = 1 on them packs every edge: a lower bound. The
+     greedy cover is a feasible integral cover: an upper bound. *)
+  let greedy_packing h x =
+    let picked = Bitset.empty h.Hypergraph.n_vertices in
+    let blocked = Bitset.empty h.Hypergraph.n_vertices in
+    Bitset.iter
+      (fun v ->
+        if not (Bitset.mem v blocked) then begin
+          Bitset.add_in_place v picked;
+          Bitset.union_indexed_into ~into:blocked h.Hypergraph.edges
+            h.Hypergraph.incidence.(v)
+        end)
+      x;
+    picked
+
+  (* Repeatedly covers the smallest uncovered vertex by the edge through
+     it that covers the most uncovered vertices (ties to the lowest id). *)
+  let greedy_cover h x =
+    let left = Bitset.copy x in
+    let rec go acc =
+      let v = Bitset.first left in
+      if v < 0 then Some (List.rev acc)
+      else begin
+        let best = ref (-1) and gain = ref 0 in
+        Bitset.iter
+          (fun e ->
+            let g = Bitset.inter_cardinal (Hypergraph.edge h e) left in
+            if g > !gain then begin
+              best := e;
+              gain := g
+            end)
+          h.Hypergraph.incidence.(v);
+        if !best < 0 then None
+        else begin
+          Bitset.diff_into ~into:left (Hypergraph.edge h !best);
+          go (!best :: acc)
+        end
+      end
+    in
+    go []
+
   let verify h x { weight; gamma } =
     let total = List.fold_left (fun acc (_, w) -> acc +. w) 0.0 gamma in
     Float.abs (total -. weight) <= 1e-5
@@ -166,26 +208,58 @@ module Frac_improve_hd = struct
 
   module Memo = Hashtbl.Make (Bitset)
 
-  (* ρ* per bag, memoised: it does not depend on the threshold, so one
-     table serves a whole tightening loop. *)
-  let memo_rho h =
-    let cache = Memo.create 256 in
-    fun bag ->
-      match Memo.find_opt cache bag with
-      | Some v -> v
-      | None ->
-          let v =
-            match Frac_cover.rho_star h bag with
-            | Some c -> c.Frac_cover.weight
-            | None -> infinity
-          in
-          Memo.add cache bag v;
-          v
+  (* ρ* bounds per bag, memoised: they do not depend on the threshold,
+     so one table serves a whole tightening loop. [lo] and [hi] are the
+     greedy packing and cover sizes (infinity when the bag is
+     uncoverable); [rho] is the LP's value once solved. *)
+  type entry = { lo : float; hi : float; mutable rho : float option }
 
-  let check_with rho ?deadline h ~k ~k' =
-    let bag_filter bag = rho bag <= k' +. 1e-6 in
+  (* A bag passes at k' when the LP says ρ* <= k' + 1e-6. The certified
+     LP value lies within 1e-7 * (ρ* + 1) of ρ* (see [Frac_cover.certify]),
+     so a bound that clears the limit by [margin] already gives the LP's
+     answer, and the LP runs only for bags whose bounds straddle it. *)
+  let memo_filter h =
+    let cache = Memo.create 256 in
+    fun ~k' bag ->
+      let e =
+        match Memo.find_opt cache bag with
+        | Some e -> e
+        | None ->
+            let e =
+              match Frac_cover.greedy_cover h bag with
+              | None -> { lo = infinity; hi = infinity; rho = None }
+              | Some cover ->
+                  {
+                    lo = float (Bitset.cardinal (Frac_cover.greedy_packing h bag));
+                    hi = float (List.length cover);
+                    rho = None;
+                  }
+            in
+            Memo.add cache bag e;
+            e
+      in
+      let limit = k' +. 1e-6 in
+      let margin = 1e-5 *. Float.max 1.0 limit in
+      if e.hi <= limit -. margin then true
+      else if e.lo > limit +. margin then false
+      else
+        let rho =
+          match e.rho with
+          | Some v -> v
+          | None ->
+              let v =
+                match Frac_cover.rho_star h bag with
+                | Some c -> c.Frac_cover.weight
+                | None -> infinity
+              in
+              e.rho <- Some v;
+              v
+        in
+        rho <= limit
+
+  let check_with filter ?deadline h ~k ~k' =
     match
-      Detk.solve_gen ?deadline ~bag_filter
+      Detk.solve_gen ?deadline ~bag_filter:(filter ~k')
         ~candidates:(Detk.candidates_of_edges h) h ~k
     with
     | Detk.Decomposition d ->
@@ -194,7 +268,7 @@ module Frac_improve_hd = struct
     | Detk.No_decomposition -> No_improvement
     | Detk.Timeout -> Timeout
 
-  let check ?deadline h ~k ~k' = check_with (memo_rho h) ?deadline h ~k ~k'
+  let check ?deadline h ~k ~k' = check_with (memo_filter h) ?deadline h ~k ~k'
 
   let best ?deadline ?(step = 0.1) h ~k =
     (* Start from any HD of width <= k, then tighten the threshold. *)
@@ -202,12 +276,12 @@ module Frac_improve_hd = struct
     | Detk.No_decomposition | Detk.Timeout -> None
     | Detk.Decomposition d ->
         let initial = Improve_hd.improve h d in
-        let rho = memo_rho h in
+        let filter = memo_filter h in
         let rec tighten best_fhd best_width =
           let target = best_width -. step in
           if target < 1.0 -. 1e-9 then Some (best_fhd, best_width)
           else
-            match check_with rho ?deadline h ~k ~k':target with
+            match check_with filter ?deadline h ~k ~k':target with
             | Improved (fhd, w) ->
                 (* The returned width can beat the target; keep tightening
                    from the actually achieved width. *)

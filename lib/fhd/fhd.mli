@@ -36,6 +36,17 @@ module Frac_cover : sig
       is uncoverable.
       @raise Failure if the exact certificate fails. *)
 
+  val greedy_packing : Hg.Hypergraph.t -> Kit.Bitset.t -> Kit.Bitset.t
+  (** Vertices of X, picked in ascending order, no two of which share an
+      edge: y = 1 on them is a feasible packing, so their number is a
+      lower bound on ρ*(X) (over all edges). No LP. *)
+
+  val greedy_cover : Hg.Hypergraph.t -> Kit.Bitset.t -> int list option
+  (** Edges covering X, picked greedily (the edge through the smallest
+      uncovered vertex that covers the most uncovered vertices): their
+      number is an upper bound on ρ*(X). [None] when X is uncoverable.
+      No LP. *)
+
   val verify : Hg.Hypergraph.t -> Kit.Bitset.t -> t -> bool
   (** Does [gamma] really cover X (within tolerance) with total weight
       equal to [weight]? *)
@@ -64,8 +75,11 @@ module Frac_improve_hd : sig
     k':float ->
     outcome
   (** FracImproveHD check: is there an HD of width <= k all of whose bags
-      have ρ* <= k'? Searches with DetKDecomp plus a bag filter; ρ*
-      values are memoised per bag. *)
+      have ρ* <= k'? Searches with DetKDecomp plus a bag filter. Each
+      bag's greedy packing and cover bounds are memoised; the certified
+      LP runs (once per bag) only when neither bound decides the bag
+      with a margin wider than the certificate's tolerance, so every
+      decision is the LP's. *)
 
   val best :
     ?deadline:Kit.Deadline.t ->

@@ -101,27 +101,43 @@ let build_ghd bag cover ~special_lab ~special_verts children : Decomp.node =
   in
   { bag; cover; children = grafted }
 
+(* A candidate pool and its flat word rows (row i is pool.(i), [w]
+   words; see [Bitset.words_out]). *)
+type pool = { cands : Detk.candidate array; rows : int array }
+
+let pool_of nv cands =
+  let w = Bitset.word_count nv in
+  let rows = Array.make (Array.length cands * w) 0 in
+  Array.iteri
+    (fun i (c : Detk.candidate) ->
+      Bitset.words_out ~universe:nv c.vertices rows (i * w))
+    cands;
+  { cands; rows }
+
 (* Everything one search carries: the failed-subproblem memo, the
-   candidate pools (the subedge pool is generated lazily, on the first
-   fallback), the deadline and the width. [exact] drops to false once a
-   truncated subedge pool makes a "no" answer untrustworthy. *)
+   candidate pools (the edges followed by the subedges, generated
+   lazily on the first fallback), the deadline and the width. [exact]
+   drops to false once a truncated subedge pool makes a "no" answer
+   untrustworthy. *)
 type env = {
   h : Hypergraph.t;
   k : int;
   nv : int;
+  w : int;
   deadline : Deadline.t;
   memoize : bool;
   use_subedges : bool;
   expand_limit : int option;
   max_subedges : int option;
   failed : (int list list, unit) Hashtbl.t;
-  edge_candidates : Detk.candidate array;
-  mutable subedges : Detk.candidate array option;
+  edges : pool;
+  mutable extended : pool option;
   mutable exact : bool;
 }
 
-let subedges env =
-  match env.subedges with
+(* The edges followed by the subedges. *)
+let extended env =
+  match env.extended with
   | Some p -> p
   | None ->
       let { Subedges.candidates; complete } =
@@ -129,9 +145,11 @@ let subedges env =
           ?max_subedges:env.max_subedges env.h ~k:env.k
       in
       if not complete then env.exact <- false;
-      let arr = Array.of_list candidates in
-      env.subedges <- Some arr;
-      arr
+      let p =
+        pool_of env.nv (Array.append env.edges.cands (Array.of_list candidates))
+      in
+      env.extended <- Some p;
+      p
 
 let memo_key h' sp =
   let sets = Bitset.to_list h' :: List.map (fun s -> Bitset.to_list s.verts) sp in
@@ -215,56 +233,65 @@ and attempt env ~depth h' sp =
        with a full component computation per separator. *)
     let balanced = Hg.Components.is_balanced h ~within:h' ~special:sp_arr in
     let bag_buf = Bitset.empty env.nv in
-    let try_separator lambda =
+    (* Row d of [acc] is the bag of the d candidates picked so far,
+       already restricted to the scope: separator edges may reach into
+       sibling components, and those foreign vertices must not enter
+       bags here or connectedness of the final assembly breaks (covering
+       and component computation are unaffected). picks.(d) is the pool
+       index of the d-th pick, and λ is built only for a separator whose
+       children all succeed. *)
+    let w = env.w in
+    let scope_row = Array.make w 0 in
+    Bitset.words_out ~universe:env.nv scope scope_row 0;
+    let acc = Array.make ((k + 1) * w) 0 in
+    let picks = Array.make k 0 in
+    let try_separator pool depth_ =
       Deadline.check env.deadline;
       Metrics.incr m_separators;
-      (* Restrict the bag to the vertices of this extended subhypergraph:
-         separator edges may reach into sibling components, and those
-         foreign vertices must not enter bags here or connectedness of
-         the final assembly breaks. Covering and component computation
-         are unaffected. *)
-      Bitset.clear bag_buf;
-      List.iter
-        (fun (c : Detk.candidate) -> Bitset.union_into ~into:bag_buf c.vertices)
-        lambda;
-      Bitset.inter_into ~into:bag_buf scope;
-      if Bitset.is_empty bag_buf then None
-      else if not (balanced bag_buf) then begin
-        Metrics.incr m_balance_rejections;
-        None
-      end
+      let a0 = depth_ * w in
+      let j = ref 0 in
+      while !j < w && acc.(a0 + !j) = 0 do
+        incr j
+      done;
+      if !j = w then None
       else begin
-        let bag = Bitset.copy bag_buf in
-        let comps =
-          Hg.Components.components_extended h ~within:h' ~special:sp_arr bag
-        in
-        let s = fresh_special ~depth bag in
-        (* Solve the components in order; the first failure rejects the
-           separator. *)
-        let rec solve_children = function
-          | [] -> Some []
-          | (es, sps) :: rest -> (
-              let sp = s :: List.map (fun i -> sp_idx.(i)) sps in
-              match decompose env ~depth:(depth + 1) es sp with
-              | None -> None
-              | Some d -> Option.map (fun ds -> d :: ds) (solve_children rest))
-        in
-        match solve_children comps with
-        | None -> None
-        | Some children ->
-            let cover =
-              List.map
-                (fun (c : Detk.candidate) ->
-                  {
-                    Decomp.label = c.label;
-                    vertices = c.vertices;
-                    source = c.source;
-                  })
-                lambda
-            in
-            Some
-              (build_ghd bag cover ~special_lab:(special_label s)
-                 ~special_verts:s.verts children)
+        Bitset.words_in ~universe:env.nv acc a0 bag_buf;
+        if not (balanced bag_buf) then begin
+          Metrics.incr m_balance_rejections;
+          None
+        end
+        else begin
+          let bag = Bitset.copy bag_buf in
+          let comps =
+            Hg.Components.components_extended h ~within:h' ~special:sp_arr bag
+          in
+          let s = fresh_special ~depth bag in
+          (* Solve the components in order; the first failure rejects the
+             separator. *)
+          let rec solve_children = function
+            | [] -> Some []
+            | (es, sps) :: rest -> (
+                let sp = s :: List.map (fun i -> sp_idx.(i)) sps in
+                match decompose env ~depth:(depth + 1) es sp with
+                | None -> None
+                | Some d -> Option.map (fun ds -> d :: ds) (solve_children rest))
+          in
+          match solve_children comps with
+          | None -> None
+          | Some children ->
+              let cover =
+                List.init depth_ (fun d ->
+                    let (c : Detk.candidate) = pool.cands.(picks.(d)) in
+                    {
+                      Decomp.label = c.label;
+                      vertices = c.vertices;
+                      source = c.source;
+                    })
+              in
+              Some
+                (build_ghd bag cover ~special_lab:(special_label s)
+                   ~special_verts:s.verts children)
+        end
       end
     in
     (* Enumerate combinations out of [pool]; in the subedge phase at
@@ -275,72 +302,76 @@ and attempt env ~depth h' sp =
        search linger mid-enumeration for an unbounded stretch on wide
        instances. *)
     let enumerate pool fresh_from =
-      let n = Array.length pool in
+      let n = Array.length pool.cands and rows = pool.rows in
       let consults = ref 0 in
-      let rec go idx depth_ lambda has_fresh =
+      (* Only candidates meeting the current scope help. *)
+      let meets_scope i =
+        let r0 = i * w in
+        let j = ref 0 in
+        while !j < w && rows.(r0 + !j) land scope_row.(!j) = 0 do
+          incr j
+        done;
+        !j < w
+      in
+      let rec go idx depth_ has_fresh =
         if depth_ > 0 && (has_fresh || fresh_from = 0) then
-          match try_separator (List.rev lambda) with
+          match try_separator pool depth_ with
           | Some _ as r -> r
-          | None -> extend idx depth_ lambda has_fresh
-        else extend idx depth_ lambda has_fresh
-      and extend idx depth_ lambda has_fresh =
-        if depth_ = k then None
+          | None -> extend idx depth_ has_fresh
+        else extend idx depth_ has_fresh
+      and extend idx depth_ has_fresh =
+        if depth_ = k then None else from idx depth_ has_fresh
+      and from i depth_ has_fresh =
+        if i >= n then None
         else begin
-          let rec from i =
-            if i >= n then None
-            else begin
-              incr consults;
-              if !consults land 15 = 0 then Deadline.check env.deadline;
-              if
-                (* Only candidates meeting the current scope help. *)
-                not (Bitset.intersects pool.(i).Detk.vertices scope)
-              then from (i + 1)
-              else
-                match
-                  go (i + 1) (depth_ + 1)
-                    (pool.(i) :: lambda)
-                    (has_fresh || i >= fresh_from)
-                with
-                | Some _ as r -> r
-                | None -> from (i + 1)
-            end
-          in
-          from idx
+          incr consults;
+          if !consults land 15 = 0 then Deadline.check env.deadline;
+          if not (meets_scope i) then from (i + 1) depth_ has_fresh
+          else begin
+            let src = depth_ * w and dst = (depth_ + 1) * w and r0 = i * w in
+            for j = 0 to w - 1 do
+              acc.(dst + j) <-
+                acc.(src + j) lor (rows.(r0 + j) land scope_row.(j))
+            done;
+            picks.(depth_) <- i;
+            match go (i + 1) (depth_ + 1) (has_fresh || i >= fresh_from) with
+            | Some _ as r -> r
+            | None -> from (i + 1) depth_ has_fresh
+          end
         end
       in
-      go 0 0 [] false
+      go 0 0 false
     in
-    match enumerate env.edge_candidates 0 with
+    match enumerate env.edges 0 with
     | Some _ as r -> r
     | None ->
         if not env.use_subedges then None
         else begin
           Metrics.incr m_subedge_phases;
-          let subs = subedges env in
-          if Array.length subs = 0 then None
-          else
-            enumerate
-              (Array.append env.edge_candidates subs)
-              (Array.length env.edge_candidates)
+          let pool = extended env and n_edges = Array.length env.edges.cands in
+          if Array.length pool.cands = n_edges then None
+          else enumerate pool n_edges
         end
   end
 
 let solve ?(deadline = Deadline.none) ?(memoize = true) ?(use_subedges = true)
     ?expand_limit ?max_subedges h ~k =
   if k < 1 then invalid_arg "Bal_sep.solve: k must be >= 1";
+  let nv = h.Hypergraph.n_vertices in
   let env =
     {
       h;
       k;
-      nv = h.Hypergraph.n_vertices;
+      nv;
+      w = Bitset.word_count nv;
       deadline;
       memoize;
       use_subedges;
       expand_limit;
       max_subedges;
       failed = Hashtbl.create 128;
-      edge_candidates = Array.of_list (Detk.candidates_of_edges h);
-      subedges = None;
+      edges = pool_of nv (Array.of_list (Detk.candidates_of_edges h));
+      extended = None;
       exact = true;
     }
   in

@@ -80,6 +80,24 @@ let diff_into ~into s =
     into.(i) <- into.(i) land lnot s.(i)
   done
 
+let word_count n = words n
+
+(* The flat-row boundary: one universe check and one bounds-checked blit
+   per call, so a caller's word loops never see the header cell. *)
+let check_row ~universe s what =
+  if s.(0) <> universe then
+    invalid_arg
+      (Printf.sprintf "Bitset.%s: universe %d, row laid out for %d" what s.(0)
+         universe)
+
+let words_out ~universe s row off =
+  check_row ~universe s "words_out";
+  Array.blit s 1 row off (Array.length s - 1)
+
+let words_in ~universe row off s =
+  check_row ~universe s "words_in";
+  Array.blit row off s 1 (Array.length s - 1)
+
 (* --- immutable reference operations ------------------------------------- *)
 
 let copy = Array.copy
@@ -156,15 +174,6 @@ let rec intersects_from a b i =
 let intersects a b =
   same_universe a b;
   intersects_from a b 1
-
-let rec diff_subset_from a b c i =
-  i >= Array.length a
-  || (a.(i) land lnot b.(i) land lnot c.(i) = 0 && diff_subset_from a b c (i + 1))
-
-let diff_subset a b c =
-  same_universe a b;
-  same_universe a c;
-  diff_subset_from a b c 1
 
 (* --- population count and iteration ------------------------------------- *)
 
@@ -304,12 +313,19 @@ let filter p s =
   iter (fun x -> if p x then add_in_place x r) s;
   r
 
+(* The djb2 fold keeps each word's low bits in the low bits of the
+   result, and [Hashtbl] buckets by the low bits: without the finaliser,
+   sets that differ only in high vertices share a bucket. The finaliser
+   is MurmurHash3's fmix64 with its multipliers cut to 62 bits (still
+   odd, so nothing is lost); it spreads every bit into the low ones. *)
 let hash s =
   let h = ref 5381 in
   for i = 1 to Array.length s - 1 do
     h := (!h * 33) lxor s.(i)
   done;
-  !h land max_int
+  let h = (!h lxor (!h lsr 33)) * 0x3f51_afd7_ed55_8ccd in
+  let h = (h lxor (h lsr 33)) * 0x04ce_b9fe_1a85_ec53 in
+  (h lxor (h lsr 33)) land max_int
 
 let pp fmt s =
   Format.fprintf fmt "{%s}"

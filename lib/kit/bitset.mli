@@ -56,9 +56,6 @@ val subset : t -> t -> bool
 val intersects : t -> t -> bool
 (** [intersects a b] is true iff [a] and [b] share an element. *)
 
-val diff_subset : t -> t -> t -> bool
-(** [diff_subset a b c] is [subset (diff a b) c] without allocating. *)
-
 val cardinal : t -> int
 (** Word-parallel (SWAR) popcount: no per-bit loop, no allocation. *)
 
@@ -120,6 +117,28 @@ val union_indexed_into : into:t -> t array -> t -> unit
     [arr]; each [arr.(i)] visited must share [into]'s universe. This is
     the inner loop of incidence accumulation ([vertices_of_edges],
     [edges_touching]). *)
+
+(** {1 Flat word rows}
+
+    A search that keeps many sets of one universe can hold them as rows
+    of one flat [int array], [word_count universe] words each, and run
+    its inner loops as plain word loops. These two calls are the only
+    way in and out: words are opaque, and a row is only ever combined
+    with rows of the same universe by [lor], [land] and [land lnot],
+    which keeps the bits past the universe clear. *)
+
+val word_count : int -> int
+(** Words per set over the given universe size. *)
+
+val words_out : universe:int -> t -> int array -> int -> unit
+(** [words_out ~universe s row off] copies the words of [s] into
+    [row.(off) ...]. [Invalid_argument] if [s] is not over [universe] or
+    the row is too short. *)
+
+val words_in : universe:int -> int array -> int -> t -> unit
+(** [words_in ~universe row off s] overwrites [s] with the words at
+    [row.(off) ...] (written by {!words_out}, or combined from such
+    rows). [Invalid_argument] as for {!words_out}. *)
 
 (** {1 Scratch arenas}
 

@@ -338,7 +338,9 @@ let read_whole path =
 
 (* --stats-json -: stdout must carry exactly one JSON document; all the
    human-facing chatter (a campaign's tables included) moves to
-   stderr. *)
+   stderr. The counters describe the analysis the tables show, so
+   --tables (whose ablation re-solves instances) leaves them as they are
+   without it. *)
 let stats_json_stdout_is_parseable () =
   (* The test binary lives in _build/default/test/; the CLI is its
      sibling at _build/default/bin/ (a declared dune dep). *)
@@ -359,28 +361,43 @@ let stats_json_stdout_is_parseable () =
       let oc = open_out hg in
       output_string oc "e1(a,b,c),\ne2(c,d),\ne3(d,e,a).\n";
       close_out oc;
-      List.iter
-        (fun (what, args, chatter) ->
-          let cmd =
-            Printf.sprintf "%s %s --stats-json - >%s 2>%s" (Filename.quote exe)
-              args (Filename.quote out) (Filename.quote err)
-          in
-          Alcotest.(check int) (what ^ " exits 0") 0 (Sys.command cmd);
-          (match Kit.Json.of_string (String.trim (read_whole out)) with
-          | Ok (Kit.Json.Obj _) -> ()
-          | Ok _ -> Alcotest.failf "%s: stdout JSON is not an object" what
-          | Error m ->
-              Alcotest.failf "%s: stdout is not machine-parseable: %s\n---\n%s"
-                what m (read_whole out));
-          Alcotest.(check bool) (what ^ ": chatter routed to stderr") true
-            (contains ~sub:chatter (read_whole err)))
-        [
-          ("analyze", Printf.sprintf "analyze %s --max-k 3" (Filename.quote hg),
-           "hw = ");
-          ( "campaign",
-            "campaign --scale 0.05 --fuel 2000 --tables",
-            "Ablation: design choices" );
-        ])
+      let counters =
+        List.map
+          (fun (what, args, chatter) ->
+            let cmd =
+              Printf.sprintf "%s %s --stats-json - >%s 2>%s"
+                (Filename.quote exe) args (Filename.quote out)
+                (Filename.quote err)
+            in
+            Alcotest.(check int) (what ^ " exits 0") 0 (Sys.command cmd);
+            let counters =
+              match Kit.Json.of_string (String.trim (read_whole out)) with
+              | Ok (Kit.Json.Obj _ as j) -> Kit.Json.member "counters" j
+              | Ok _ -> Alcotest.failf "%s: stdout JSON is not an object" what
+              | Error m ->
+                  Alcotest.failf
+                    "%s: stdout is not machine-parseable: %s\n---\n%s" what m
+                    (read_whole out)
+            in
+            Alcotest.(check bool) (what ^ ": chatter routed to stderr") true
+              (contains ~sub:chatter (read_whole err));
+            Option.map Kit.Json.to_string counters)
+          [
+            ( "analyze",
+              Printf.sprintf "analyze %s --max-k 3" (Filename.quote hg),
+              "hw = " );
+            ( "campaign",
+              "campaign --scale 0.05 --fuel 2000 --tables",
+              "Ablation: design choices" );
+            ("campaign without --tables", "campaign --scale 0.05 --fuel 2000",
+             "Campaign summary");
+          ]
+      in
+      match counters with
+      | [ _; Some with_tables; Some without ] ->
+          Alcotest.(check string) "--tables leaves the counters" without
+            with_tables
+      | _ -> Alcotest.fail "campaign JSON has no counters")
 
 let () =
   Alcotest.run "isolation"

@@ -55,6 +55,52 @@ let bitset_choose_filter () =
   Alcotest.(check bool) "for_all" true (Bitset.for_all (fun x -> x mod 10 = 0) s);
   Alcotest.(check bool) "exists" true (Bitset.exists (fun x -> x = 20) s)
 
+(* All 4,096 subsets of twelve adjacent high vertices, hashed into a
+   [Hashtbl.Make (Bitset)]: a hash that keeps only low bits puts them
+   all in one bucket. *)
+let bitset_hash_spread () =
+  let module Tbl = Hashtbl.Make (Bitset) in
+  List.iter
+    (fun (universe, lo) ->
+      let tbl = Tbl.create 16 in
+      for mask = 0 to 4095 do
+        let xs = List.filter (fun i -> mask land (1 lsl i) <> 0) (List.init 12 Fun.id) in
+        Tbl.replace tbl (Bitset.of_list universe (List.map (( + ) lo) xs)) ()
+      done;
+      let stats = Tbl.stats tbl in
+      Alcotest.(check int) "distinct" 4096 stats.Hashtbl.num_bindings;
+      if stats.Hashtbl.max_bucket_length > 8 then
+        Alcotest.failf "{%d..%d} over %d: max bucket %d" lo (lo + 11) universe
+          stats.Hashtbl.max_bucket_length)
+    [ (62, 50); (158, 100) ]
+
+(* The flat-row boundary round-trips at any offset, and a row combined
+   word by word is the set operation. *)
+let bitset_words_rows () =
+  List.iter
+    (fun n ->
+      let w = Bitset.word_count n in
+      let a = Bitset.of_list n (List.filter (fun x -> x mod 3 = 0) (List.init n Fun.id)) in
+      let b = Bitset.of_list n (List.filter (fun x -> x mod 5 = 1) (List.init n Fun.id)) in
+      let row = Array.make (1 + (3 * w)) 0 in
+      Bitset.words_out ~universe:n a row 1;
+      Bitset.words_out ~universe:n b row (1 + w);
+      for j = 0 to w - 1 do
+        row.(1 + (2 * w) + j) <- row.(1 + j) lor row.(1 + w + j)
+      done;
+      let back = Bitset.empty n and u = Bitset.full n in
+      Bitset.words_in ~universe:n row 1 back;
+      Alcotest.(check bool) (Printf.sprintf "round trip %d" n) true (Bitset.equal a back);
+      Bitset.words_in ~universe:n row (1 + (2 * w)) u;
+      Alcotest.(check bool) (Printf.sprintf "union row %d" n) true
+        (Bitset.equal (Bitset.union a b) u))
+    [ 1; 62; 63; 64; 130 ];
+  Alcotest.check_raises "universe checked"
+    (Invalid_argument "Bitset.words_out: universe 5, row laid out for 6")
+    (fun () -> Bitset.words_out ~universe:6 (Bitset.empty 5) [| 0; 0 |] 0);
+  Alcotest.check_raises "row bounds checked" (Invalid_argument "Array.blit")
+    (fun () -> Bitset.words_in ~universe:64 [| 0; 0 |] 1 (Bitset.empty 64))
+
 (* Property tests: bitsets vs the reference model (sorted int lists). *)
 let prop_gen =
   QCheck.Gen.(list_size (int_bound 40) (int_bound 99))
@@ -998,6 +1044,8 @@ let () =
           Alcotest.test_case "set operations" `Quick bitset_set_ops;
           Alcotest.test_case "universe mismatch" `Quick bitset_universe_mismatch;
           Alcotest.test_case "choose and filter" `Quick bitset_choose_filter;
+          Alcotest.test_case "hash spreads high vertices" `Quick bitset_hash_spread;
+          Alcotest.test_case "flat word rows" `Quick bitset_words_rows;
           qt prop_roundtrip;
           qt prop_union_model;
           qt prop_inter_model;

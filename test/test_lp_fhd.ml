@@ -165,6 +165,46 @@ let prop_rho_star_bounds =
           && c.Fhd.Frac_cover.weight <= float_of_int (Bitset.cardinal x) +. 1e-6
           && Fhd.Frac_cover.verify h x c)
 
+(* The bounds that gate the ρ* memo of FracImproveHD: no edge holds two
+   packed vertices, the greedy cover covers the bag, and packing size
+   <= ρ* <= cover size. Bags may hold isolated ids (holes left by
+   of_int_edges), which no edge covers. *)
+let prop_greedy_bounds =
+  QCheck.Test.make ~name:"greedy packing <= rho* <= greedy cover" ~count:300
+    (QCheck.make
+       QCheck.Gen.(
+         pair
+           (list_size (int_range 1 9) (list_size (int_range 1 5) (int_bound 11)))
+           (list_size (int_range 1 8) (int_bound 11))))
+    (fun (edges, bag) ->
+      let edges = List.map (List.sort_uniq compare) edges in
+      let edges = List.filter (( <> ) []) edges in
+      QCheck.assume (edges <> []);
+      let h = H.of_int_edges edges in
+      let x =
+        Bitset.of_list h.H.n_vertices
+          (List.filter (fun v -> v < h.H.n_vertices) bag)
+      in
+      let packing = Fhd.Frac_cover.greedy_packing h x in
+      let non_adjacent =
+        Bitset.subset packing x
+        && Array.for_all (fun e -> Bitset.inter_cardinal e packing <= 1) h.H.edges
+      in
+      non_adjacent
+      &&
+      match (Fhd.Frac_cover.greedy_cover h x, Fhd.Frac_cover.rho_star h x) with
+      | None, None -> true
+      | Some cover, Some c ->
+          let covered =
+            List.fold_left
+              (fun acc e -> Bitset.union acc (H.edge h e))
+              (Bitset.empty h.H.n_vertices) cover
+          in
+          Bitset.subset x covered
+          && float (Bitset.cardinal packing) <= c.Fhd.Frac_cover.weight +. 1e-6
+          && c.Fhd.Frac_cover.weight <= float (List.length cover) +. 1e-6
+      | _ -> false)
+
 (* --- ImproveHD / FracImproveHD ------------------------------------------ *)
 
 let improve_hd_triangle () =
@@ -251,6 +291,7 @@ let () =
           Alcotest.test_case "empty" `Quick rho_star_empty;
           Alcotest.test_case "restricted edges" `Quick rho_star_restricted_edges;
           qt prop_rho_star_bounds;
+          qt prop_greedy_bounds;
         ] );
       ( "improve",
         [
