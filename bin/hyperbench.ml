@@ -722,10 +722,17 @@ let campaign_cmd =
   let seed =
     Arg.(value & opt int 2019 & info [ "seed" ] ~docv:"SEED" ~doc:"Generator seed.")
   in
+  (* The defaults are EXPERIMENTS.md's recorded configuration (scale 1,
+     0.5 s per run), so a bare [campaign --tables] reproduces it. *)
   let scale =
     Arg.(
-      value & opt float 0.2
+      value & opt float 1.0
       & info [ "scale" ] ~docv:"S" ~doc:"Repository scale factor.")
+  in
+  let timeout =
+    Arg.(
+      value & opt float 0.5
+      & info [ "timeout" ] ~docv:"SECONDS" ~doc:"Per-run timeout in seconds.")
   in
   let fuel =
     Arg.(
@@ -811,7 +818,7 @@ let campaign_cmd =
           outcome journal, checkpoint/resume, retry with escalating \
           budgets, and optional hard process isolation ($(b,--isolate)).")
     Term.(
-      const run $ seed $ scale $ timeout_arg $ fuel $ max_k $ jobs_arg
+      const run $ seed $ scale $ timeout $ fuel $ max_k $ jobs_arg
       $ journal $ resume $ retries $ mem_limit $ isolate_arg $ shard $ cache
       $ tables $ stats_arg $ stats_json_arg)
 

@@ -32,6 +32,33 @@ let candidates_of_edges h =
 let to_cover_elt c : Decomp.cover_elt =
   { label = c.label; vertices = c.vertices; source = c.source }
 
+(* The candidates meeting [scope], in list order, counted and then
+   copied into one array: no intermediate list. *)
+let rec count_meeting scope n = function
+  | [] -> n
+  | c :: rest ->
+      count_meeting scope
+        (if Bitset.intersects c.vertices scope then n + 1 else n)
+        rest
+
+let rec fill_meeting scope a i = function
+  | [] -> ()
+  | c :: rest ->
+      if Bitset.intersects c.vertices scope then begin
+        a.(i) <- c;
+        fill_meeting scope a (i + 1) rest
+      end
+      else fill_meeting scope a i rest
+
+let relevant_of scope cands =
+  match count_meeting scope 0 cands with
+  | 0 -> [||]
+  | n ->
+      (* Every cell is overwritten; the head only types the array. *)
+      let a = Array.make n (List.hd cands) in
+      fill_meeting scope a 0 cands;
+      a
+
 (* Memo keys carry their hash: a key is probed (and possibly stored) once
    per subproblem but hashed on every bucket comparison, so rescanning
    both bitsets per probe was pure waste. *)
@@ -122,21 +149,22 @@ let solve_gen ?(deadline = Deadline.none) ?(memoize = true) ?sweep ?extra
     Bitset.words_out ~universe:nv conn conn_row 0;
     Bitset.words_out ~universe:nv comp_vertices comp_row 0;
     let try_with cands =
-      let relevant =
-        Array.of_list
-          (List.filter (fun c -> Bitset.intersects c.vertices scope) cands)
-      in
-      (* Heuristic order: cover more of the connector first, then more of
-         the component. Ranks are computed once, not per comparison. *)
-      let rank c =
-        (Bitset.inter_cardinal c.vertices conn * 10000)
-        + Bitset.inter_cardinal c.vertices comp_vertices
-      in
-      let keyed = Array.map (fun c -> (rank c, c)) relevant in
-      Array.sort (fun (ra, _) (rb, _) -> compare rb ra) keyed;
-      let relevant = Array.map snd keyed in
+      let relevant = relevant_of scope cands in
       let n = Array.length relevant in
-      (* Row i of [cand] is relevant.(i); row i of [suffix] the union of
+      (* Heuristic order: cover more of the connector first, then more of
+         the component. Ranks are computed once, not per comparison;
+         [order] is sorted, not the candidates, and [Array.sort] makes
+         the same comparisons either way, so ties keep their order. *)
+      let rank =
+        Array.map
+          (fun c ->
+            (Bitset.inter_cardinal c.vertices conn * 10000)
+            + Bitset.inter_cardinal c.vertices comp_vertices)
+          relevant
+      in
+      let order = Array.init n Fun.id in
+      Array.sort (fun a b -> Int.compare rank.(b) rank.(a)) order;
+      (* Row i of [cand] is relevant.(order.(i)); row i of [suffix] the union of
          rows i.. of [cand], used to prune branches that can no longer
          cover the connector (row n is empty); row d of [covered] is
          B(λ) for the d candidates picked so far, and depth d+1
@@ -144,8 +172,9 @@ let solve_gen ?(deadline = Deadline.none) ?(memoize = true) ?sweep ?extra
          the d-th pick. *)
       let cand = Array.make (n * w) 0 in
       Array.iteri
-        (fun i c -> Bitset.words_out ~universe:nv c.vertices cand (i * w))
-        relevant;
+        (fun i o ->
+          Bitset.words_out ~universe:nv relevant.(o).vertices cand (i * w))
+        order;
       let suffix = Array.make ((n + 1) * w) 0 in
       for i = n - 1 downto 0 do
         for j = 0 to w - 1 do
@@ -226,7 +255,7 @@ let solve_gen ?(deadline = Deadline.none) ?(memoize = true) ?sweep ?extra
                       Decomp.bag;
                       cover =
                         List.init depth (fun d ->
-                            to_cover_elt relevant.(picks.(d)));
+                            to_cover_elt relevant.(order.(picks.(d))));
                       children;
                     }
           end

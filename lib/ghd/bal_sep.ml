@@ -225,14 +225,14 @@ and attempt env ~depth h' sp =
     (* [vertices_of_edges] hands back a fresh accumulator we own. *)
     let scope = Hypergraph.vertices_of_edges h h' in
     Array.iter (fun s -> Bitset.union_into ~into:scope s) sp_arr;
-    (* Per-node buffers: the rejection test and the bag accumulator are
-       reused by every separator tried here; only an accepted bag is
-       copied out. Rejecting is cheap (heavy-vertex subset test, then an
-       early-exit BFS) and touches neither the deadline nor the
-       counters, so the fuel spent and every counter are the same as
-       with a full component computation per separator. *)
+    (* The rejection test is staged once and reused by every separator
+       tried here; it reads the separator straight from its row of [acc],
+       so only an accepted bag becomes a set. Rejecting is cheap
+       (word-row tests, then an early-exit BFS) and touches
+       neither the deadline nor the counters, so the fuel spent and every
+       counter are the same as with a full component computation per
+       separator. *)
     let balanced = Hg.Components.is_balanced h ~within:h' ~special:sp_arr in
-    let bag_buf = Bitset.empty env.nv in
     (* Row d of [acc] is the bag of the d candidates picked so far,
        already restricted to the scope: separator edges may reach into
        sibling components, and those foreign vertices must not enter
@@ -255,13 +255,13 @@ and attempt env ~depth h' sp =
       done;
       if !j = w then None
       else begin
-        Bitset.words_in ~universe:env.nv acc a0 bag_buf;
-        if not (balanced bag_buf) then begin
+        if not (balanced acc a0) then begin
           Metrics.incr m_balance_rejections;
           None
         end
         else begin
-          let bag = Bitset.copy bag_buf in
+          let bag = Bitset.empty env.nv in
+          Bitset.words_in ~universe:env.nv acc a0 bag;
           let comps =
             Hg.Components.components_extended h ~within:h' ~special:sp_arr bag
           in

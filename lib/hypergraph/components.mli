@@ -29,7 +29,8 @@ val is_balanced :
   Hypergraph.t ->
   within:Kit.Bitset.t ->
   special:Kit.Bitset.t array ->
-  Kit.Bitset.t ->
+  int array ->
+  int ->
   bool
 (** Balanced-separator test used by BalSep (Definition 7): every
     [u]-component of the extended subhypergraph with [within] ordinary
@@ -37,15 +38,23 @@ val is_balanced :
     total number of (ordinary plus special) edges.
 
     Staged for a loop over many separators of one subproblem:
-    [is_balanced h ~within ~special] computes {!heavy_vertices} and
-    allocates the BFS buffers once; each application to a separator [u]
-    then runs allocation-free in two stages. First, [u] must contain every
-    heavy vertex (one subset test). Then components are grown one at a
-    time by a frontier BFS that stops as soon as one of them exceeds the
-    bound, or as soon as the edges not yet placed could no longer exceed
-    it. Agrees exactly with checking every component of
-    {!components_extended}. The staged closure owns mutable buffers: use
-    it from one domain, one call at a time. *)
+    [is_balanced h ~within ~special] computes {!heavy_vertices}, copies
+    [within], the special edges and the heavy vertices into flat word
+    rows and allocates the BFS rows, all once. The checker takes the
+    separator [u] as a row: [check row off] tests the vertex set whose
+    words are at [row.(off ...)], laid out over [h]'s vertices (see
+    {!Kit.Bitset.words_out}). Each application runs allocation-free in
+    three stages. First, [u] must contain every heavy vertex (one word
+    loop). Second, if [u] misses the region through which the last
+    rejected separator's oversized component was found, that component
+    is still one [u]-component and [u] is rejected too (one word loop).
+    Otherwise components are grown one at a time by a frontier BFS (a
+    round reads only the incidence of the vertices the previous round
+    added) that stops as soon as one of them exceeds the bound, or as
+    soon as the edges not yet placed could no longer exceed it. Agrees
+    exactly with checking every component of {!components_extended}.
+    The staged checker owns mutable rows: use it from one domain, one
+    call at a time. *)
 
 val components_extended :
   Hypergraph.t ->

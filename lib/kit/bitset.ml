@@ -200,7 +200,7 @@ let popcount_swar x =
   let x = x + (x lsr 32) in
   x land 0x7f
 
-let popcount = if bits > 32 then popcount_swar else popcount_loop
+let popcount x = if bits > 32 then popcount_swar x else popcount_loop x
 
 let rec cardinal_from s i acc =
   if i >= Array.length s then acc else cardinal_from s (i + 1) (acc + popcount s.(i))
@@ -297,6 +297,48 @@ let union_indexed_into ~into arr s =
   for i = 1 to Array.length s - 1 do
     if s.(i) <> 0 then union_indexed_word ~into arr ((i - 1) * bits) s.(i)
   done
+
+(* --- flat-row kernels ---------------------------------------------------- *)
+
+(* The row counterparts of [union_indexed_into], [cardinal] and [first]
+   for searches that keep their sets as flat word rows. *)
+
+let rec union_indexed_row_word ~universe arr base w into off =
+  if w <> 0 then begin
+    let b = w land (-w) in
+    let s = arr.(base + ctz b) in
+    if s.(0) <> universe then check_row ~universe s "union_indexed_row";
+    for j = 1 to Array.length s - 1 do
+      into.(off + j - 1) <- into.(off + j - 1) lor s.(j)
+    done;
+    union_indexed_row_word ~universe arr base (w lxor b) into off
+  end
+
+let union_indexed_row ~universe arr idx ioff ~into off =
+  for i = 0 to words (Array.length arr) - 1 do
+    let w = idx.(ioff + i) in
+    if w <> 0 then union_indexed_row_word ~universe arr (i * bits) w into off
+  done
+
+let row_cardinal ~universe row off =
+  let c = ref 0 in
+  for i = off to off + words universe - 1 do
+    c := !c + popcount row.(i)
+  done;
+  !c
+
+let rec row_pop_from row off i n =
+  if i >= n then -1
+  else
+    let w = row.(off + i) in
+    if w = 0 then row_pop_from row off (i + 1) n
+    else begin
+      let b = w land (-w) in
+      row.(off + i) <- w lxor b;
+      (i * bits) + ctz b
+    end
+
+let row_pop ~universe row off = row_pop_from row off 0 (words universe)
 
 exception Stop
 (* Constant exception, raised without allocating (unlike a [let exception

@@ -122,10 +122,12 @@ val union_indexed_into : into:t -> t array -> t -> unit
 
     A search that keeps many sets of one universe can hold them as rows
     of one flat [int array], [word_count universe] words each, and run
-    its inner loops as plain word loops. These two calls are the only
-    way in and out: words are opaque, and a row is only ever combined
-    with rows of the same universe by [lor], [land] and [land lnot],
-    which keeps the bits past the universe clear. *)
+    its inner loops as plain word loops. {!words_out} and {!words_in}
+    are the only way in and out: words are opaque, and a row is only
+    ever combined with rows of the same universe by [lor], [land] and
+    [land lnot], which keeps the bits past the universe clear. The three
+    kernels after them read elements out of a row, so that a search on
+    rows never needs the bit layout itself. *)
 
 val word_count : int -> int
 (** Words per set over the given universe size. *)
@@ -139,6 +141,22 @@ val words_in : universe:int -> int array -> int -> t -> unit
 (** [words_in ~universe row off s] overwrites [s] with the words at
     [row.(off) ...] (written by {!words_out}, or combined from such
     rows). [Invalid_argument] as for {!words_out}. *)
+
+val union_indexed_row :
+  universe:int -> t array -> int array -> int -> into:int array -> int -> unit
+(** [union_indexed_row ~universe arr idx ioff ~into off] is
+    {!union_indexed_into} on rows: [into.(off ...) ∪= ⋃ {arr.(i) | i in
+    the row idx.(ioff ...)}], where the index row is laid out over
+    [Array.length arr] and every visited [arr.(i)] is over [universe]
+    ([Invalid_argument] otherwise). Allocation-free. *)
+
+val row_cardinal : universe:int -> int array -> int -> int
+(** Number of elements of the row at [row.(off ...)], laid out over
+    [universe]. *)
+
+val row_pop : universe:int -> int array -> int -> int
+(** Removes the smallest element of the row at [row.(off ...)] and
+    returns it, or returns [-1] when the row is empty. *)
 
 (** {1 Scratch arenas}
 

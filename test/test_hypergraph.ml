@@ -178,25 +178,81 @@ let components_extended_separated () =
   Alcotest.(check int) "two components, special absorbed" 2 (List.length comps);
   List.iter (fun (_, sps) -> Alcotest.(check (list int)) "no special" [] sps) comps
 
+(* [u] as a row at [off] of a larger array, as BalSep hands its bags to
+   the checker. The cells around the row are all ones, so a checker that
+   reads outside its row answers wrongly. *)
+let bag_row ~off u =
+  let nv = Bitset.universe u in
+  let row = Array.make (off + Bitset.word_count nv + 2) (-1) in
+  Bitset.words_out ~universe:nv u row off;
+  row
+
 let balanced_separator () =
   let h = H.of_int_edges [ [ 0; 1 ]; [ 1; 2 ]; [ 2; 3 ]; [ 3; 4 ] ] in
+  let check u =
+    C.is_balanced h ~within:(H.all_edges h) ~special:[||] (bag_row ~off:3 u) 3
+  in
   (* Vertex 2 splits the path of 4 edges into components of size 2 and 2. *)
-  Alcotest.(check bool)
-    "middle is balanced" true
-    (C.is_balanced h ~within:(H.all_edges h) ~special:[||] (Bitset.of_list 5 [ 2 ]));
+  Alcotest.(check bool) "middle is balanced" true (check (Bitset.of_list 5 [ 2 ]));
   (* Vertex 0 leaves a single component with all 4 edges: unbalanced. *)
-  Alcotest.(check bool)
-    "end is not balanced" false
-    (C.is_balanced h ~within:(H.all_edges h) ~special:[||] (Bitset.of_list 5 [ 0 ]))
+  Alcotest.(check bool) "end is not balanced" false (check (Bitset.of_list 5 [ 0 ]))
 
 (* The staged, early-exit [is_balanced] (heavy-vertex prefilter, then a
-   BFS that stops at the first oversized component) against the
+   frontier BFS that stops at the first oversized component) against the
    definition: every component of [components_extended] within half the
    total. One staged checker is reused across all bags of a case, so
-   stale scratch state between separators would show up here too. *)
+   stale rows between separators would show up here too. The small cases
+   fit one word; the large ones (64-150 vertices and edges, local edges
+   on a cycle so that two bands of vertices cut it in two) span two or
+   three words per row. Each bag is a row at its own nonzero offset. *)
 let balanced_differential () =
   let rng = Kit.Rng.create 2019 in
   let random_set n p = List.filter (fun _ -> Kit.Rng.int rng 100 < p) (List.init n Fun.id) in
+  (* Balanced; rejected by the prefilter; rejected by the BFS. *)
+  let seen = Array.make 3 0 in
+  let run_case case h ~within ~special ~extra_bags =
+    let nv = h.H.n_vertices and ne = h.H.n_edges in
+    let bound = (Bitset.cardinal within + Array.length special) / 2 in
+    let reference u =
+      List.for_all
+        (fun (es, sps) -> Bitset.cardinal es + List.length sps <= bound)
+        (C.components_extended h ~within ~special u)
+    in
+    let heavy = C.heavy_vertices h ~within ~special in
+    let staged = C.is_balanced h ~within ~special in
+    let edge_union p =
+      List.fold_left
+        (fun acc e -> Bitset.union acc (H.edge h e))
+        (Bitset.empty nv) (random_set ne p)
+    in
+    (* Each random bag is followed by a random part of it: a part of a
+       rejected bag misses the region that rejected it, so the staged
+       checker answers it from that region without a BFS. *)
+    let bags =
+      [ Bitset.empty nv; Bitset.full nv; edge_union 20; edge_union 5 ]
+      @ List.concat
+          (List.init 4 (fun _ ->
+               let u = Bitset.of_list nv (random_set nv (Kit.Rng.int rng 101)) in
+               [ u; Bitset.filter (fun _ -> Kit.Rng.int rng 2 = 0) u ]))
+      @ extra_bags heavy
+    in
+    List.iteri
+      (fun i u ->
+        let expect = reference u in
+        let what = Printf.sprintf "case %d bag %d" case i in
+        let off = 1 + (i * 5) in
+        Alcotest.(check bool) (what ^ ": staged") expect (staged (bag_row ~off u) off);
+        Alcotest.(check bool)
+          (what ^ ": one-shot") expect
+          (C.is_balanced h ~within ~special (bag_row ~off:1 u) 1);
+        let slot = if expect then 0 else if Bitset.subset heavy u then 2 else 1 in
+        seen.(slot) <- seen.(slot) + 1;
+        if expect then
+          Alcotest.(check bool)
+            (what ^ ": prefilter keeps a balanced bag")
+            true (Bitset.subset heavy u))
+      bags
+  in
   for case = 1 to 400 do
     let nv = 1 + Kit.Rng.int rng 12 in
     let ne = 1 + Kit.Rng.int rng 14 in
@@ -212,38 +268,36 @@ let balanced_differential () =
       Array.init (Kit.Rng.int rng 4) (fun _ ->
           Bitset.of_list nv (Kit.Rng.int rng nv :: random_set nv 25))
     in
-    let bound = (Bitset.cardinal within + Array.length special) / 2 in
-    let reference u =
-      List.for_all
-        (fun (es, sps) -> Bitset.cardinal es + List.length sps <= bound)
-        (C.components_extended h ~within ~special u)
+    run_case case h ~within ~special ~extra_bags:(fun _ -> [])
+  done;
+  for case = 401 to 480 do
+    let nv = 64 + Kit.Rng.int rng 87 in
+    let ne = 64 + Kit.Rng.int rng 87 in
+    (* Vertices [c, c + width) on the cycle 0 .. nv-1; edge 0 reaches the
+       last vertex, so the universe is exactly [nv]. *)
+    let band c width = List.init width (fun j -> (c + j) mod nv) in
+    let h =
+      H.of_int_edges
+        (List.init ne (fun e ->
+             let c = if e = 0 then nv - 1 else Kit.Rng.int rng nv in
+             c :: List.map (fun j -> (c + 1 + j) mod nv) (random_set 6 40)))
     in
-    let heavy = C.heavy_vertices h ~within ~special in
-    let staged = C.is_balanced h ~within ~special in
-    let edge_union () =
-      List.fold_left
-        (fun acc e -> Bitset.union acc (H.edge h e))
-        (Bitset.empty nv)
-        (random_set ne 20)
+    let within = Bitset.of_list ne (random_set ne (50 + Kit.Rng.int rng 51)) in
+    let special =
+      Array.init (Kit.Rng.int rng 4) (fun _ ->
+          Bitset.of_list nv (band (Kit.Rng.int rng nv) (1 + Kit.Rng.int rng 8)))
     in
-    let bags =
-      [ Bitset.empty nv; Bitset.full nv; edge_union (); edge_union () ]
-      @ List.init 4 (fun _ -> Bitset.of_list nv (random_set nv (Kit.Rng.int rng 101)))
+    let cut () =
+      let c = Kit.Rng.int rng nv in
+      Bitset.of_list nv (band c 7 @ band ((c + (nv / 2)) mod nv) 7)
     in
-    List.iteri
-      (fun i u ->
-        let expect = reference u in
-        let what = Printf.sprintf "case %d bag %d" case i in
-        Alcotest.(check bool) (what ^ ": staged") expect (staged u);
-        Alcotest.(check bool)
-          (what ^ ": one-shot") expect
-          (C.is_balanced h ~within ~special u);
-        if expect then
-          Alcotest.(check bool)
-            (what ^ ": prefilter keeps a balanced bag")
-            true (Bitset.subset heavy u))
-      bags
-  done
+    run_case case h ~within ~special ~extra_bags:(fun heavy ->
+        [ cut (); cut (); Bitset.union heavy (cut ()) ])
+  done;
+  Array.iteri
+    (fun i what ->
+      if seen.(i) = 0 then Alcotest.failf "no bag was %s" what)
+    [| "balanced"; "rejected by the prefilter"; "rejected by the BFS" |]
 
 let connected_check () =
   Alcotest.(check bool) "triangle connected" true (C.connected triangle);

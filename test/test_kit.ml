@@ -74,8 +74,9 @@ let bitset_hash_spread () =
           stats.Hashtbl.max_bucket_length)
     [ (62, 50); (158, 100) ]
 
-(* The flat-row boundary round-trips at any offset, and a row combined
-   word by word is the set operation. *)
+(* The flat-row boundary round-trips at any offset, a row combined
+   word by word is the set operation, and the row kernels read a row as
+   the set it holds. *)
 let bitset_words_rows () =
   List.iter
     (fun n ->
@@ -93,8 +94,35 @@ let bitset_words_rows () =
       Alcotest.(check bool) (Printf.sprintf "round trip %d" n) true (Bitset.equal a back);
       Bitset.words_in ~universe:n row (1 + (2 * w)) u;
       Alcotest.(check bool) (Printf.sprintf "union row %d" n) true
-        (Bitset.equal (Bitset.union a b) u))
+        (Bitset.equal (Bitset.union a b) u);
+      Alcotest.(check int) (Printf.sprintf "row_cardinal %d" n)
+        (Bitset.cardinal a) (Bitset.row_cardinal ~universe:n row 1);
+      (* Sets indexed by the elements of row b: singletons {i mod 7}. *)
+      let arr = Array.init n (fun i -> Bitset.singleton 7 (i mod 7)) in
+      let into = [| -1; 0; -1 |] in
+      Bitset.union_indexed_row ~universe:7 arr row (1 + w) ~into 1;
+      let expect = Bitset.empty 7 in
+      Bitset.union_indexed_into ~into:expect arr b;
+      let got = Bitset.empty 7 in
+      Bitset.words_in ~universe:7 into 1 got;
+      Alcotest.(check bool) (Printf.sprintf "union_indexed_row %d" n) true
+        (Bitset.equal expect got);
+      Alcotest.(check (pair int int)) "cells around the row untouched" (-1, -1)
+        (into.(0), into.(2));
+      let rec pop_all acc =
+        match Bitset.row_pop ~universe:n row 1 with
+        | -1 -> List.rev acc
+        | x -> pop_all (x :: acc)
+      in
+      Alcotest.(check (list int)) (Printf.sprintf "row_pop %d" n)
+        (Bitset.to_list a) (pop_all []);
+      Alcotest.(check int) "popped empty" 0 (Bitset.row_cardinal ~universe:n row 1))
     [ 1; 62; 63; 64; 130 ];
+  Alcotest.check_raises "indexed universe checked"
+    (Invalid_argument "Bitset.union_indexed_row: universe 5, row laid out for 6")
+    (fun () ->
+      Bitset.union_indexed_row ~universe:6 [| Bitset.empty 5 |] [| 1 |] 0
+        ~into:[| 0 |] 0);
   Alcotest.check_raises "universe checked"
     (Invalid_argument "Bitset.words_out: universe 5, row laid out for 6")
     (fun () -> Bitset.words_out ~universe:6 (Bitset.empty 5) [| 0; 0 |] 0);

@@ -183,11 +183,20 @@ let staged_is_balanced_allocation_free () =
   let check =
     Hg.Components.is_balanced medium ~within:(H.all_edges medium) ~special
   in
-  let bags = Array.init 8 (fun i -> Bitset.of_list nv [ i; i + 7; i + 13 ]) in
-  Array.iter (fun u -> ignore (Sys.opaque_identity (check u))) bags;
+  (* Eight bags as the rows of one flat array, as BalSep keeps them. *)
+  let w = Bitset.word_count nv in
+  let bags = Array.make (8 * w) 0 in
+  for i = 0 to 7 do
+    Bitset.words_out ~universe:nv
+      (Bitset.of_list nv [ i; i + 7; i + 13 ])
+      bags (i * w)
+  done;
+  for i = 0 to 7 do
+    ignore (Sys.opaque_identity (check bags (i * w)))
+  done;
   let w0 = Gc.minor_words () in
   for i = 1 to 1000 do
-    ignore (Sys.opaque_identity (check bags.(i land 7)))
+    ignore (Sys.opaque_identity (check bags ((i land 7) * w)))
   done;
   let words = Gc.minor_words () -. w0 in
   if words >= 1000. then
