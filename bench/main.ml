@@ -4,8 +4,8 @@
 
    The legs fix their own workload: seed 2019, repository scale 0.3 for
    repo, fuel 50 000 per daemon solve for serve and chaos. The HB_* knobs
-   they read (jobs, isolation, faults, perf iterations, gate file) are
-   rows of Kit.Config's table, listed with their defaults in README's
+   they read (jobs, faults, perf iterations, gate file) are rows of
+   Kit.Config's table, listed with their defaults in README's
    "Environment knobs"; Kit.Config.check runs first, so a malformed knob
    exits 1 naming it before anything runs.
 
@@ -96,13 +96,6 @@ module Perf = struct
     in
     loop ()
 
-  let separates_ref h ~within u =
-    let total = B.cardinal within in
-    match components_ref h ~within u with
-    | [] -> total > 0
-    | [ c ] -> B.cardinal c < total
-    | _ :: _ :: _ -> true
-
   (* The definition, over the full component list. *)
   let is_balanced_ref h ~within ~special u =
     let bound = (B.cardinal within + Array.length special) / 2 in
@@ -179,9 +172,6 @@ module Perf = struct
       List.for_all2 B.equal
         (Hg.Components.components medium ~within:all sep)
         (components_ref medium ~within:all sep));
-    assert (
-      Hg.Components.separates medium ~within:all sep
-      = separates_ref medium ~within:all sep);
     (* A bag the heavy-vertex prefilter lets through and the BFS rejects:
        the row times the early-exit search, not just the subset test. *)
     assert (B.subset (Hg.Components.heavy_vertices medium ~within:all ~special:[||]) sep);
@@ -228,9 +218,6 @@ module Perf = struct
         kernel "edges_touching"
           ~baseline:(fun () -> edges_touching_ref medium front)
           (fun () -> H.edges_touching medium front);
-        kernel "separates"
-          ~baseline:(fun () -> separates_ref medium ~within:all sep)
-          (fun () -> Hg.Components.separates medium ~within:all sep);
         kernel "is_balanced"
           ~baseline:(fun () -> is_balanced_ref medium ~within:all ~special:[||] sep)
           (fun () -> Hg.Components.is_balanced medium ~within:all ~special:[||] sep_row 0);
@@ -666,16 +653,16 @@ end
 
 (* --- serve: chaos soak ------------------------------------------------------- *)
 
-(* Seeded chaos soak against an in-process hyperbenchd: well-behaved
-   clients go through [Serve.Client.request_retry] while the Fault
-   harness tears, resets and stalls the wire and kills solve workers,
-   and a rogue thread runs slowloris heads, mid-body stalls and aborted
-   uploads alongside. The run passes only if every well-behaved request
-   was correctly answered (200) or honestly refused (429/503 with
-   Retry-After), a fault-free replay of every 200 returns a
-   byte-identical body (fuel budgets make solves deterministic), the
-   breaker/restart counters actually moved, no fds or zombies leaked,
-   and the drain join stayed bounded. These assertions live here, not in
+(* Seeded chaos soak against an in-process hyperbenchd whose solves run
+   in forked workers: well-behaved clients go through
+   [Serve.Client.request_retry] while the Fault harness tears, resets and
+   stalls the wire and kills solve workers, and a rogue thread runs
+   slowloris heads, mid-body stalls and aborted uploads alongside. The
+   run passes only if every well-behaved request was correctly answered
+   (200) or honestly refused (429/503 with Retry-After), a fault-free
+   replay of every 200 returns a byte-identical body (fuel budgets make
+   solves deterministic), the breaker/restart counters actually moved,
+   no fds or zombies leaked, and the drain join stayed bounded. These assertions live here, not in
    HB_GATE, so no data line can switch them off; any violation exits 7
    (the CI chaos-gate). *)
 module Serve_chaos = struct
@@ -708,7 +695,7 @@ module Serve_chaos = struct
     let service cache =
       {
         Benchlib.Service.cache = Some cache;
-        isolate = Kit.Config.isolate ();
+        isolate = true;
         mem_mb = None;
         default_timeout = 5.0;
         max_timeout = 10.0;

@@ -92,8 +92,7 @@ let isolate_arg =
           "Hard isolation: run each task in its own forked worker process, \
            killed by a wall-clock watchdog ($(b,HB_WALL), default the \
            escalated per-attempt budget plus a grace second) and capped by \
-           a hard memory rlimit at the soft budget. Implied by \
-           $(b,HB_ISOLATE=1).")
+           a hard memory rlimit at the soft budget.")
 
 (* Enable the metrics registry around [f] when either output was requested,
    then render the table and/or write the JSON file.
@@ -285,7 +284,6 @@ let method_conv =
 
 let decompose_cmd =
   let run path k meth timeout jobs isolate dot save stats stats_json =
-    let isolate = isolate || Kit.Config.isolate () in
     let* h = load_hypergraph path in
     with_stats ~stats ~stats_json @@ fun () ->
     let deadline () = Kit.Deadline.of_seconds timeout in
@@ -665,7 +663,6 @@ let shard_conv =
 let campaign_cmd =
   let run seed scale timeout fuel max_k jobs journal resume retries mem_limit
       isolate shard cache_dir tables stats stats_json =
-    let isolate = isolate || Kit.Config.isolate () in
     (* --cache DIR wins over the HB_CACHE knob; neither set means no
        cache and no cache.* metric ticks. *)
     let cache =
@@ -847,7 +844,7 @@ let serve_cmd =
           (match cache with
           | Some dir -> Some (Benchlib.Result_cache.create ~dir)
           | None -> Benchlib.Result_cache.of_env ());
-        isolate = isolate || Kit.Config.isolate ();
+        isolate;
         mem_mb;
         default_timeout = timeout;
       }

@@ -30,7 +30,7 @@ let () =
   | Some (hw, hd), _ ->
       Printf.printf "hw = %d, witness HD:\n" hw;
       Format.printf "%a@." (fun fmt -> Decomp.pp h fmt) hd;
-      assert (Decomp.is_valid_hd h hd)
+      assert (Decomp.check_hd h hd = [])
   | None, k -> Printf.printf "hw computation open at k = %d\n" k);
 
   (* Generalized hypertree width: try to beat hw with the GHD portfolio. *)

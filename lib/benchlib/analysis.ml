@@ -85,12 +85,10 @@ type task = {
 }
 
 let analyze_outcomes ?(budget = default_budget) ?budget_for ?(retries = 0)
-    ?mem_mb ?(max_k = 8) ?jobs ?isolate ?wall ?cache ?on_done instances =
+    ?mem_mb ?(max_k = 8) ?jobs ?(isolate = false) ?wall ?cache ?on_done
+    instances =
   let budget_for =
     match budget_for with Some bf -> bf | None -> fun ~attempt:_ -> budget
-  in
-  let isolate =
-    match isolate with Some b -> b | None -> Kit.Config.isolate ()
   in
   if isolate then begin
     (* Hard isolation: each attempt runs in a forked worker under

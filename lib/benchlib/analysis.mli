@@ -89,7 +89,7 @@ val analyze_outcomes :
       of every attempt, so tests can fail a chosen instance
       deterministically at any [jobs] value (and observe a retry
       succeed, since the site counter advances per attempt);
-    - with [isolate] (default: {!Kit.Config.isolate}, i.e. [HB_ISOLATE=1])
+    - with [isolate] (default [false]; [hyperbench campaign --isolate])
       each attempt runs in a forked worker under {!Kit.Proc}: the soft
       guard is backed by a hard [SIGKILL] watchdog of [wall ~attempt]
       seconds (default [HB_WALL], else 3600) and a hard memory rlimit at

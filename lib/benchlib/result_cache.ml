@@ -28,8 +28,6 @@ let create ~dir =
 
 let of_env () = Option.map (fun dir -> create ~dir) (Kit.Config.cache ())
 
-let dir t = t.dir
-
 let entry_path t ~fp ~meth ~k =
   Filename.concat
     (Filename.concat t.dir (String.sub fp 0 2))

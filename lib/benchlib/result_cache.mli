@@ -33,8 +33,6 @@ val of_env : unit -> t option
 (** [Some (create ~dir)] when the [HB_CACHE] knob ({!Kit.Config.cache}) names
     a directory, [None] otherwise. *)
 
-val dir : t -> string
-
 val find : t -> Hg.Hypergraph.t -> meth:string -> k:int -> verdict option
 (** Validated lookup; [None] on miss or on an entry that fails
     validation. [Yes d] always satisfies [Decomp.check_hd = []] and

@@ -11,7 +11,7 @@ type config = {
 let default_config () =
   {
     cache = Result_cache.of_env ();
-    isolate = Kit.Config.isolate ();
+    isolate = false;
     mem_mb = Kit.Config.mem_mb ();
     default_timeout = 10.0;
     max_timeout = 60.0;

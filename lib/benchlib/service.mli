@@ -53,9 +53,9 @@ type config = {
 }
 
 val default_config : unit -> config
-(** [cache] from [HB_CACHE], [isolate] from [HB_ISOLATE], [mem_mb] from
-    [HB_MEM_MB], timeouts 10 s default / 60 s max, [max_k] 8, a fresh
-    default [supervisor]. *)
+(** [cache] from [HB_CACHE], [isolate] off ([hyperbench serve
+    --isolate] turns it on), [mem_mb] from [HB_MEM_MB], timeouts 10 s
+    default / 60 s max, [max_k] 8, a fresh default [supervisor]. *)
 
 val rejection : format:string -> source:string -> Kit.Diag.t list -> Kit.Json.t
 (** The 422 body for an unparseable payload of [format]

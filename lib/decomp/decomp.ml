@@ -129,9 +129,6 @@ let special_condition_violations h t =
 
 let check_hd h t = check_ghd h t @ special_condition_violations h t
 
-let is_valid_ghd h t = check_ghd h t = []
-let is_valid_hd h t = check_hd h t = []
-
 let pp h fmt t =
   let pp_bag fmt b =
     Format.fprintf fmt "{%s}"
@@ -187,17 +184,6 @@ module Fractional = struct
     let rec go acc t = List.fold_left go (t :: acc) t.fchildren in
     List.rev (go [] t)
 
-  let rec of_integral (u : node) =
-    let fcover =
-      List.map
-        (fun elt ->
-          match elt.source with
-          | Original e | Subedge e -> (e, 1.0)
-          | Special -> invalid_arg "Fractional.of_integral: special edge")
-        u.cover
-    in
-    { fbag = u.bag; fcover; fchildren = List.map of_integral u.children }
-
   (* Reuse the TD checks by viewing the fractional tree as an integral one
      with empty covers. *)
   let rec to_bare (u : fnode) : node =
@@ -225,8 +211,6 @@ module Fractional = struct
         [] (nodes t)
     in
     td @ List.rev frac
-
-  let is_valid_fhd ?eps h t = check_fhd ?eps h t = []
 
   let pp h fmt t =
     let rec go indent u =

@@ -60,9 +60,6 @@ val check_hd : Hg.Hypergraph.t -> t -> violation list
 (** GHD conditions plus the special condition: for every node [u],
     V(T_u) ∩ B(λ_u) ⊆ B_u. *)
 
-val is_valid_ghd : Hg.Hypergraph.t -> t -> bool
-val is_valid_hd : Hg.Hypergraph.t -> t -> bool
-
 val pp : Hg.Hypergraph.t -> Format.formatter -> t -> unit
 (** Indented tree with named bags and covers. *)
 
@@ -83,16 +80,9 @@ module Fractional : sig
 
   val nodes : fhd -> fnode list
 
-  val of_integral : t -> fhd
-  (** Weight-1 fractional view of an integral decomposition. Cover elements
-      that are subedges keep their parent edge id.
-      @raise Invalid_argument on special edges. *)
-
   val check_fhd : ?eps:float -> Hg.Hypergraph.t -> fhd -> violation list
   (** TD conditions plus fractional coverage of each bag: every bag vertex
       must accumulate weight >= 1 - eps from cover edges containing it. *)
-
-  val is_valid_fhd : ?eps:float -> Hg.Hypergraph.t -> fhd -> bool
 
   val pp : Hg.Hypergraph.t -> Format.formatter -> fhd -> unit
 end

@@ -120,8 +120,3 @@ let semijoin a b =
   { a with data }
 
 let equal a b = a.cols = b.cols && Row_set.equal a.data b.data
-
-let pp fmt t =
-  Format.fprintf fmt "cols[%s] %d rows"
-    (String.concat "," (List.map string_of_int t.cols))
-    (cardinality t)

@@ -35,5 +35,3 @@ val semijoin : t -> t -> t
 
 val equal : t -> t -> bool
 (** Same columns and same set of rows. *)
-
-val pp : Format.formatter -> t -> unit

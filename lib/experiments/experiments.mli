@@ -110,7 +110,7 @@ val prepare_campaign :
     crash, stack overflow, [HB_MEM_MB] trip or leaked timeout becomes
     that instance's recorded outcome and the campaign continues.
     [retries] / [budget_for] / [mem_mb] / [isolate] / [wall] are
-    forwarded there; with [isolate] (default [HB_ISOLATE=1]) each
+    forwarded there; with [isolate] (default [false]) each
     instance runs in a forked worker under {!Kit.Proc}'s wall-clock
     watchdog and hard memory rlimit, and the journal hook runs in the
     monitor process — a hung or memory-hungry instance is hard-killed

@@ -43,9 +43,3 @@ let random rng ~n_vertices ~n_edges ~max_arity =
   List.iteri (fun i v -> Hashtbl.replace renumber v i) used;
   Hg.Hypergraph.of_int_edges
     (List.map (List.map (Hashtbl.find renumber)) edges)
-
-let paper_parameters rng =
-  let n_vertices = Rng.int_in rng 5 100 in
-  let n_edges = Rng.int_in rng 3 50 in
-  let max_arity = Rng.int_in rng 3 20 in
-  random rng ~n_vertices ~n_edges ~max_arity

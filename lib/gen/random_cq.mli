@@ -1,8 +1,8 @@
 (** Random conjunctive-query hypergraphs in the style of the
     Pottinger–Halevy query generator used for the paper's "CQ Random"
     group (§5.6): chain and star queries (trivially acyclic) plus the
-    unrestricted random option with the paper's parameter ranges —
-    5–100 vertices, 3–50 edges, arities 3–20. *)
+    unrestricted random option. The paper's parameter ranges are 5–100
+    vertices, 3–50 edges and arities 3–20. *)
 
 val chain : Kit.Rng.t -> n_edges:int -> arity:int -> Hg.Hypergraph.t
 (** Edges overlap their successor in one vertex; acyclic. *)
@@ -15,6 +15,3 @@ val random :
 (** Unrestricted random hypergraph: each edge samples between 2 and
     [max_arity] distinct vertices. Isolated vertices are avoided by
     construction (the vertex universe is shrunk to the used vertices). *)
-
-val paper_parameters : Kit.Rng.t -> Hg.Hypergraph.t
-(** One draw with the paper's CQ Random parameter ranges. *)

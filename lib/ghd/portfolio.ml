@@ -163,11 +163,3 @@ let race_isolated ?(budget = default_budget) ?(members = order) ?mem_mb ?wall
           pick (i + 1)
   in
   record_verdict (pick 0)
-
-let ghw_improvement ?budget h ~hw =
-  if hw <= 2 then `Not_improvable (* hw <= 2 implies ghw = hw, §6.4 *)
-  else
-    match check ?budget h ~k:(hw - 1) with
-    | Yes (d, _) -> `Improved (hw - 1, d)
-    | No _ -> `Not_improvable
-    | All_timeout -> `Unknown

@@ -75,21 +75,12 @@ val race_isolated :
   Hg.Hypergraph.t ->
   k:int ->
   verdict
-(** {!race} under hard isolation ([HB_ISOLATE]): each member runs in its
-    own forked process via {!Kit.Proc}, and the first exact verdict
-    hard-kills the losers with [SIGKILL] instead of waiting for their
-    next cooperative check — a member that stops polling its deadline
-    cannot delay the portfolio. [wall] (default [HB_WALL], else 3600)
+(** {!race} under hard isolation ([decompose --isolate]): each member
+    runs in its own forked process via {!Kit.Proc}, and the first exact
+    verdict hard-kills the losers with [SIGKILL] instead of waiting for
+    their next cooperative check — a member that stops polling its
+    deadline cannot delay the portfolio. [wall] (default [HB_WALL], else 3600)
     bounds every member's wall-clock run; [mem_mb] (default [HB_MEM_MB])
     is each member's hard memory rlimit. Killed losers are classified as
     timeouts; a member whose process dies abnormally counts toward
     ["portfolio.member_crash"] and contributes no verdict. *)
-
-val ghw_improvement :
-  ?budget:(unit -> Kit.Deadline.t) ->
-  Hg.Hypergraph.t ->
-  hw:int ->
-  [ `Improved of int * Decomp.t | `Not_improvable | `Unknown ]
-(** The experiment of Table 4: given hw(H) = [hw], try to show
-    ghw <= hw - 1. [`Improved (hw-1, ghd)] on success, [`Not_improvable]
-    when ghw = hw is proven, [`Unknown] on timeout. *)

@@ -12,24 +12,18 @@
     v}
 
     The encoding preserves ids and names exactly — unlike the text
-    format there is no interning pass, so [read_report (write h)] reproduces
-    [h] bit-for-bit (same ids, same names, arbitrary bytes allowed in
-    names). Encodings are smaller than the text form (names are stored
-    once instead of once per occurrence) and decode without any
-    lexing. *)
-
-val write : Buffer.t -> Hypergraph.t -> unit
-(** Append the encoding of one hypergraph. *)
+    format there is no interning pass, so [of_string_report (to_string h)]
+    reproduces [h] bit-for-bit (same ids, same names, arbitrary bytes
+    allowed in names). Encodings are smaller than the text form (names
+    are stored once instead of once per occurrence) and decode without
+    any lexing. *)
 
 val to_string : Hypergraph.t -> string
 
-val read_report : string -> int ref -> (Hypergraph.t, Kit.Diag.t) result
-(** Decode one hypergraph at [!pos], advancing [pos] past it. Any
-    corruption — truncation, non-ascending edge members, out-of-range
-    ids, absurd counts — is a clean [Error], never an exception or a
-    wrong graph; [pos] is then unspecified. The diagnostic's span
-    anchors at the byte offset where corruption was detected. *)
-
 val of_string_report : string -> (Hypergraph.t, Kit.Diag.t) result
-(** {!read_report} from offset 0, requiring the whole string to be
-    consumed; inputs over [HB_MAX_INPUT] bytes are refused up front. *)
+(** Decode one hypergraph, requiring the whole string to be consumed;
+    inputs over [HB_MAX_INPUT] bytes are refused up front. Any
+    corruption — truncation, non-ascending edge members, out-of-range
+    ids, absurd counts, trailing bytes — is a clean [Error], never an
+    exception or a wrong graph. The diagnostic's span anchors at the
+    byte offset where corruption was detected. *)

@@ -119,48 +119,6 @@ let components_extended h ~within ~special u =
 let components h ~within u =
   List.map fst (components_extended h ~within ~special:[||] u)
 
-(* [separates] only needs the first component: if it misses any edge of
-   [within] — because a second component exists or because some edge is
-   absorbed by [u] — the answer is already yes, so we never materialise
-   the remaining components. *)
-let separates h ~within u =
-  let ne = h.Hypergraph.n_edges in
-  let nv = h.Hypergraph.n_vertices in
-  let total = Bitset.cardinal within in
-  if total = 0 then false
-  else begin
-    let remaining = Bitset.empty ne in
-    Bitset.copy_into within ~into:remaining;
-    for e = 0 to ne - 1 do
-      if Bitset.mem e remaining && Bitset.subset h.Hypergraph.edges.(e) u then
-        Bitset.remove_in_place e remaining
-    done;
-    match Bitset.choose remaining with
-    | None -> true (* every edge absorbed by u *)
-    | Some e ->
-        let touch = Bitset.empty ne in
-        let verts = Bitset.empty nv in
-        let region = Bitset.empty nv in
-        Bitset.remove_in_place e remaining;
-        Bitset.copy_into h.Hypergraph.edges.(e) ~into:region;
-        Bitset.diff_into ~into:region u;
-        let count = ref 1 in
-        let rec grow () =
-          Hypergraph.edges_touching_into h region ~into:touch;
-          Bitset.inter_into ~into:touch remaining;
-          if not (Bitset.is_empty touch) then begin
-            count := !count + Bitset.cardinal touch;
-            Bitset.diff_into ~into:remaining touch;
-            Hypergraph.vertices_of_edges_into h touch ~into:verts;
-            Bitset.diff_into ~into:verts u;
-            Bitset.union_into ~into:region verts;
-            grow ()
-          end
-        in
-        grow ();
-        !count < total
-  end
-
 (* A vertex v outside the separator drags every edge and special that
    contains it into one component, so a separator missing a vertex of
    degree > bound (counting specials) cannot be balanced. *)

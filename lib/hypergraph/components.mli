@@ -12,12 +12,6 @@ val components :
     set; components are pairwise disjoint and their union is exactly the
     set of edges of [within] not fully contained in [u]. *)
 
-val separates : Hypergraph.t -> within:Kit.Bitset.t -> Kit.Bitset.t -> bool
-(** True iff [u] splits [within] into at least two components, or absorbs
-    at least one edge. Short-circuits: only the first component is ever
-    grown — as soon as it is known to miss part of [within] the answer is
-    yes without materialising the rest. *)
-
 val heavy_vertices :
   Hypergraph.t -> within:Kit.Bitset.t -> special:Kit.Bitset.t array -> Kit.Bitset.t
 (** Vertices lying in more than half of the (ordinary plus special)

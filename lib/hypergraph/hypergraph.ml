@@ -53,7 +53,6 @@ let of_int_edges edges =
     (Array.of_list edges)
 
 let edge h e = h.edges.(e)
-let vertices h = Bitset.full h.n_vertices
 let all_edges h = Bitset.full h.n_edges
 let vertex_name h v = h.vertex_names.(v)
 let edge_name h e = h.edge_names.(e)
@@ -126,9 +125,6 @@ let compact h =
          (fun e -> List.map (fun v -> renumber.(v)) (Bitset.to_list e))
          h.edges)
   end
-
-let covers h lambda x =
-  Bitset.subset x (vertices_of_edges h lambda)
 
 (* Compare via vertex names so the relation is stable under renumbering
    (e.g. format round-trips that intern vertices in a different order). *)

@@ -30,9 +30,6 @@ val of_int_edges : int list list -> t
 (** Synthetic names [v0..], [e0..]; vertex universe is the max id + 1. *)
 
 val edge : t -> int -> Kit.Bitset.t
-val vertices : t -> Kit.Bitset.t
-(** All vertices (the full universe). *)
-
 val all_edges : t -> Kit.Bitset.t
 (** All edge ids as a set. *)
 
@@ -65,10 +62,6 @@ val dedup_edges : t -> t
 val compact : t -> t
 (** Drop isolated vertices (paper hypergraphs have none by definition),
     renumbering the rest while keeping their names. *)
-
-val covers : t -> Kit.Bitset.t -> Kit.Bitset.t -> bool
-(** [covers h lambda x]: is the vertex set [x] contained in B(lambda), the
-    union of the edges [lambda]? *)
 
 val equal_structure : t -> t -> bool
 (** Same vertex count, edge count, and same multiset of edge vertex sets

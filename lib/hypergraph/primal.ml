@@ -10,11 +10,6 @@ let graph h =
 
 type heuristic = Min_fill | Min_degree
 
-let is_clique adj s =
-  Bitset.for_all
-    (fun v -> Bitset.subset (Bitset.remove v s) adj.(v))
-    s
-
 (* Number of missing edges among the neighbours of v. *)
 let fill_count adj v =
   let nbrs = adj.(v) in

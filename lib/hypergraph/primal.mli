@@ -22,7 +22,3 @@ val upper_bound :
 
 val lower_bound : Hypergraph.t -> int
 (** MMD treewidth lower bound. *)
-
-val is_clique : Kit.Bitset.t array -> Kit.Bitset.t -> bool
-(** Is the vertex set a clique in the adjacency structure? (Exposed for
-    tests.) *)

@@ -41,15 +41,6 @@ let number ~strict key =
   in
   { key; parse }
 
-let flag key =
-  let parse v =
-    match String.trim v with
-    | "0" -> Ok false
-    | "1" -> Ok true
-    | _ -> Error "0 or 1"
-  in
-  { key; parse }
-
 (* Paths are taken verbatim; [ok] rules out the values that could never
    work, such as a cache "directory" that is a regular file. *)
 let path key ~expected ok =
@@ -59,7 +50,6 @@ let is_dir v = Sys.file_exists v && Sys.is_directory v
 
 let jobs_k = int ~min:1 "HB_JOBS"
 let mem_mb_k = int ~min:1 "HB_MEM_MB"
-let isolate_k = flag "HB_ISOLATE"
 let wall_k = number ~strict:true "HB_WALL"
 
 let cache_k =
@@ -100,9 +90,7 @@ let rows =
     row jobs_k ~default:"all cores"
       "Width of the analysis pool and of the serve worker pool.";
     row mem_mb_k ~default:"unset" "Per-instance memory budget in MiB.";
-    row isolate_k ~default:"0"
-      "1 runs each instance in a forked worker process.";
-    row wall_k ~default:"3600 s" "Watchdog budget per attempt under HB_ISOLATE.";
+    row wall_k ~default:"3600 s" "Watchdog budget per attempt of an isolated worker.";
     row cache_k ~default:"unset" "Directory of the result cache.";
     row fault_k ~default:"unset" "Fault-injection spec (see Kit.Fault).";
     row perf_iters_k ~default:"10000" "Iterations per kernel of bench perf.";
@@ -146,7 +134,6 @@ let jobs () =
   match get jobs_k with Some j -> j | None -> Domain.recommended_domain_count ()
 
 let mem_mb () = get mem_mb_k
-let isolate () = Option.value (get isolate_k) ~default:false
 let wall () = get wall_k
 
 let cache () = get cache_k

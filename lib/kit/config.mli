@@ -18,7 +18,7 @@ type knob = {
 }
 
 val knobs : knob list
-(** The table: 14 knobs, in README order. *)
+(** The table: 13 knobs, in README order. *)
 
 val errors : unit -> string list
 (** One ["HB_X: expected <what>, got \"<value>\""] message per malformed
@@ -44,8 +44,6 @@ val check : prog:string -> unit
 val jobs : unit -> int  (** [HB_JOBS], >= 1; all cores *)
 
 val mem_mb : unit -> int option  (** [HB_MEM_MB], >= 1; [None] *)
-
-val isolate : unit -> bool  (** [HB_ISOLATE], [0] or [1]; [false] *)
 
 val wall : unit -> float option  (** [HB_WALL] seconds, > 0; [None] *)
 

@@ -7,7 +7,7 @@ type kind =
   | Wall of float (* absolute deadline *)
   | Fuel of int Atomic.t
 
-type t = { kind : kind; started : float; cancel : cancel }
+type t = { kind : kind; cancel : cancel }
 
 let now () = Unix.gettimeofday ()
 
@@ -18,14 +18,9 @@ let ticks_key = Domain.DLS.new_key (fun () -> ref 0)
 
 let new_cancel () : cancel = Atomic.make false
 
-let none = { kind = No_limit; started = 0.0; cancel = new_cancel () }
-
-let of_seconds s =
-  let t0 = now () in
-  { kind = Wall (t0 +. s); started = t0; cancel = new_cancel () }
-
-let of_fuel n =
-  { kind = Fuel (Atomic.make n); started = now (); cancel = new_cancel () }
+let none = { kind = No_limit; cancel = new_cancel () }
+let of_seconds s = { kind = Wall (now () +. s); cancel = new_cancel () }
+let of_fuel n = { kind = Fuel (Atomic.make n); cancel = new_cancel () }
 
 let cancel c = Atomic.set c true
 let is_cancelled c = Atomic.get c
@@ -56,8 +51,6 @@ let check t =
       let ticks = Domain.DLS.get ticks_key in
       incr ticks;
       if !ticks land 1023 = 0 && now () >= d then raise Timed_out
-
-let elapsed t = if t.started = 0.0 then 0.0 else now () -. t.started
 
 let fuel_remaining t =
   match t.kind with

@@ -24,9 +24,8 @@ val none : t
 (** Never times out (and cannot be cancelled). *)
 
 val of_seconds : float -> t
-(** Budget starting now. [started] and the wall deadline are derived from
-    a single clock reading, so [of_seconds s] expires exactly when
-    [elapsed] reaches [s]. *)
+(** Budget of [s] seconds from now; [of_seconds 0.0] is expired from the
+    start. *)
 
 val of_fuel : int -> t
 (** Deterministic budget: times out on the [n]-th {!check}, counted
@@ -65,9 +64,6 @@ val expired : t -> bool
 (** Non-raising variant of {!check}. Uses the same expiry condition
     (clock [>=] deadline) but consults the clock on every call, so it can
     report expiry slightly before a pending {!check} raises. *)
-
-val elapsed : t -> float
-(** Seconds since the deadline was created (0 for [none]). *)
 
 val fuel_remaining : t -> int option
 (** [Some n] (clamped at 0) for fuel deadlines, [None] for wall-clock and

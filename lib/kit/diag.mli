@@ -28,10 +28,6 @@ val errorf : span -> ('a, unit, string, t) format4 -> 'a
 
 val warning : span -> string -> t
 
-val compare : t -> t -> int
-(** Orders by span start, then stop, then message — a stable order for
-    reports that merge diagnostics from lexer and parser passes. *)
-
 type position = { line : int; col : int }
 (** 1-based line and column. *)
 

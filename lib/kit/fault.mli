@@ -39,9 +39,9 @@
     [hang] busy-loops forever {e without} ever calling
     {!Deadline.check} — it simulates a search that stops cooperating, so
     it escapes {!Guard.run} and every soft budget. Only the hard
-    wall-clock watchdog of {!Proc} (campaigns under [HB_ISOLATE=1] /
-    [--isolate]) terminates it; do not arm it in an un-isolated run you
-    are not prepared to kill.
+    wall-clock watchdog of {!Proc} (campaigns under [--isolate])
+    terminates it; do not arm it in an un-isolated run you are not
+    prepared to kill.
 
     {2 Network kinds}
 

@@ -284,8 +284,6 @@ let to_float = function
   | Int i -> Some (float_of_int i)
   | _ -> None
 
-let to_bool = function Bool b -> Some b | _ -> None
-
 let string_value = function String s -> Some s | _ -> None
 
 let to_list = function List l -> Some l | _ -> None

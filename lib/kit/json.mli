@@ -32,6 +32,5 @@ val to_int : t -> int option
 (** [Int], or a [Float] with integral value. *)
 
 val to_float : t -> float option
-val to_bool : t -> bool option
 val string_value : t -> string option
 val to_list : t -> t list option

@@ -38,13 +38,3 @@ let of_label l ~detail =
   | "stack_overflow" -> Some Stack_overflow
   | "crash" -> Some (Crash detail)
   | _ -> None
-
-let to_result = function
-  | Ok v -> Stdlib.Ok v
-  | Crash m -> Stdlib.Error ("crash: " ^ m)
-  | o -> Stdlib.Error (label o)
-
-let pp fmt o =
-  match o with
-  | Crash m -> Format.fprintf fmt "crash: %s" m
-  | o -> Format.pp_print_string fmt (label o)

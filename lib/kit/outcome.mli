@@ -25,9 +25,6 @@ val is_ok : 'a t -> bool
 
 val map : ('a -> 'b) -> 'a t -> 'b t
 
-val to_result : 'a t -> ('a, string) result
-(** [Ok v] or [Error label-and-detail]. *)
-
 val get : 'a t -> 'a option
 
 val label : 'a t -> string
@@ -42,5 +39,3 @@ val of_label : string -> detail:string -> 'a t option
 (** Inverse of {!label}/{!detail} for the failure cases; ["ok"] is not
     reconstructible (the payload lives elsewhere) and yields [None], as
     does an unknown label. *)
-
-val pp : Format.formatter -> 'a t -> unit

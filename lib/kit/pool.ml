@@ -41,18 +41,6 @@ let run_result ~jobs f tasks =
   run_with ~jobs (fun i -> results.(i) <- (try Ok (f tasks.(i)) with e -> Error e)) n;
   results
 
-let run_outcome ?mem_mb ?isolate ?wall ~jobs f tasks =
-  let isolate = match isolate with Some b -> b | None -> Config.isolate () in
-  if isolate then Proc.outcomes ~jobs ?mem_mb ?wall f tasks
-  else begin
-    let n = Array.length tasks in
-    let results = Array.make n Outcome.Timeout in
-    run_with ~jobs
-      (fun i -> results.(i) <- Guard.run ?mem_mb (fun () -> f tasks.(i)))
-      n;
-    results
-  end
-
 let run ~jobs f tasks =
   Array.map
     (function Ok v -> v | Error e -> raise e)

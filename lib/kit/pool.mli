@@ -28,26 +28,6 @@ val run_result : jobs:int -> ('a -> 'b) -> 'a array -> ('b, exn) result array
 (** Exceptions raised by a task are captured per-task as [Error] without
     disturbing the other tasks or the pool. *)
 
-val run_outcome :
-  ?mem_mb:int ->
-  ?isolate:bool ->
-  ?wall:float ->
-  jobs:int ->
-  ('a -> 'b) ->
-  'a array ->
-  'b Outcome.t array
-(** Like {!run_result}, but each task runs inside {!Guard.run}: leaked
-    timeouts, allocation failure (real or [HB_MEM_MB]-budgeted), stack
-    overflow and crashes come back as structured {!Outcome.t} values.
-    This is the campaign-grade runner: no task outcome can kill a domain
-    or the pool.
-
-    With [isolate] (default: {!Config.isolate}, i.e. [HB_ISOLATE=1]) the
-    tasks run in forked worker processes via {!Proc.outcomes} instead of
-    domains: same ordering and containment guarantees, plus a hard
-    [wall]-second watchdog and a hard memory rlimit — tasks must then
-    return only plain marshallable data. *)
-
 val run : jobs:int -> ('a -> 'b) -> 'a array -> 'b array
 (** Like {!run_result}, but re-raises the first (lowest-index) captured
     exception after all tasks have settled and every domain is joined. *)

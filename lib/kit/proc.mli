@@ -124,5 +124,4 @@ val outcomes :
   ('a -> 'b) ->
   'a array ->
   'b Outcome.t array
-(** {!run} without retries or races: just the outcome per task. This is
-    the process-isolated counterpart of {!Pool.run_outcome}. *)
+(** {!run} without retries or races: just the outcome per task. *)

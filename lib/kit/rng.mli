@@ -1,4 +1,4 @@
-(** Deterministic splittable pseudo-random numbers (splitmix64).
+(** Deterministic pseudo-random numbers (splitmix64).
 
     Used by every workload generator so that the benchmark repository is
     reproducible bit-for-bit across runs and machines. *)
@@ -7,9 +7,6 @@ type t
 
 val create : int -> t
 (** [create seed] makes a fresh generator. *)
-
-val split : t -> t
-(** An independent stream derived from (and advancing) [t]. *)
 
 val int : t -> int -> int
 (** [int t bound] is uniform in [0, bound). @raise Invalid_argument if

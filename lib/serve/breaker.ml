@@ -5,7 +5,6 @@
 type state = Closed | Open | Half_open
 
 type t = {
-  name : string;
   threshold : int;
   base_cooldown : float;
   max_cooldown : float;
@@ -24,7 +23,6 @@ type t = {
 let create ?(now = Unix.gettimeofday) ?(threshold = 5) ?(cooldown = 1.0)
     ?(max_cooldown = 30.0) name =
   {
-    name;
     threshold = max 1 threshold;
     base_cooldown = Float.max cooldown 0.001;
     max_cooldown = Float.max max_cooldown cooldown;
@@ -39,8 +37,6 @@ let create ?(now = Unix.gettimeofday) ?(threshold = 5) ?(cooldown = 1.0)
     m_closed = Kit.Metrics.counter ("serve.breaker." ^ name ^ ".closed");
     m_rejected = Kit.Metrics.counter ("serve.breaker." ^ name ^ ".rejected");
   }
-
-let name t = t.name
 
 let locked t f =
   Mutex.lock t.mu;

@@ -27,8 +27,6 @@ val create :
     breaker for [cooldown] seconds (default 1.0), doubling per re-open up
     to [max_cooldown] (default 30.0). [now] injects a clock for tests. *)
 
-val name : t -> string
-
 val state : t -> state
 
 val state_name : state -> string

@@ -38,9 +38,6 @@ val response :
 (** [response status body]; [content_type] defaults to
     ["application/json"]. *)
 
-val reason : int -> string
-(** Canonical reason phrase (["OK"], ["Too Many Requests"], ...). *)
-
 val error_body : int -> string -> string
 (** [{"error":status,"message":msg}] — the uniform JSON error payload. *)
 

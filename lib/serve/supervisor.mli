@@ -1,7 +1,7 @@
 (** Self-healing supervision for [hyperbenchd] subsystems.
 
     Owns one {!Breaker} per named subsystem (the service layer uses
-    ["solver"], ["isolation"] and ["cache"]) and the restart policy for
+    ["solver"] and ["isolation"]) and the restart policy for
     crashed solve workers: a crashed {!Kit.Proc} worker is restarted —
     the next attempt forks a fresh sandbox — after a capped exponential
     backoff with deterministic seeded jitter, up to {!retries} times

@@ -15,7 +15,7 @@ type instance = {
   mutable attrs : string list;  (* normalised attribute names *)
 }
 
-let select_to_hypergraph ?(schema = Schema.empty) (s : select) =
+let select_to_hypergraph ~schema (s : select) =
   let warnings = ref [] in
   let warn fmt = Printf.ksprintf (fun m -> warnings := m :: !warnings) fmt in
   (* 1. Instances. Derived tables surviving to this point are opaque; they
@@ -206,7 +206,7 @@ let select_to_hypergraph ?(schema = Schema.empty) (s : select) =
   end
 
 let statement_to_hypergraphs ?schema stmt =
-  let { Transform.simples; schema = schema'; warnings = w0 } =
+  let { Transform.simples; schema; warnings = w0 } =
     Transform.extract ?schema stmt
   in
   List.map
@@ -215,7 +215,7 @@ let statement_to_hypergraphs ?schema stmt =
          equality conjuncts merge or delete vertices), but sees the full
          query so that attribute inference for schemaless relations also
          picks up columns used in dropped predicates. *)
-      let conv = select_to_hypergraph ~schema:schema' select in
+      let conv = select_to_hypergraph ~schema select in
       let conv =
         if id = "q" then { conv with warnings = w0 @ conv.warnings } else conv
       in

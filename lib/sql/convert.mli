@@ -13,19 +13,13 @@ type conversion = {
   warnings : string list;
 }
 
-val select_to_hypergraph : ?schema:Schema.t -> Ast.select -> conversion
-(** Conversion of one simple SELECT; the conjunctive core is taken
-    implicitly, i.e. non-equality conditions are ignored. *)
-
-val statement_to_hypergraphs :
-  ?schema:Schema.t -> Ast.statement -> (string * conversion) list
-(** Full pipeline of §5.2–5.4: extract simple queries (view expansion,
-    set-operation splitting, subquery dependency analysis), then convert
-    each. Returns (query id, conversion) pairs. *)
-
 val sql_to_hypergraphs_report :
   ?schema:Schema.t ->
   string ->
   ((string * conversion) list, Kit.Diag.t list) result
-(** {!statement_to_hypergraphs} composed with {!Parser.parse_report}: a
-    parse failure carries the full span diagnostics. *)
+(** Full pipeline of §5.2–5.4: parse ({!Parser.parse_report}), extract
+    simple queries (view expansion, set-operation splitting, subquery
+    dependency analysis), then convert each simple SELECT. Returns
+    (query id, conversion) pairs. The conjunctive core is taken
+    implicitly: non-equality conditions are ignored. A parse failure
+    carries the full span diagnostics. *)

@@ -166,8 +166,6 @@ let next t =
   if tok <> Eof then t.index <- t.index + 1;
   tok
 
-let pos t = t.index
-
 let save t = t.index
 
 let restore t i = t.index <- i

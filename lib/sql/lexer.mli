@@ -34,9 +34,6 @@ val prev_end : t -> int
 val next : t -> token
 (** Return the current token and advance. *)
 
-val pos : t -> int
-(** Index of the current token (for save/restore). *)
-
 val save : t -> int
 val restore : t -> int -> unit
 (** Save/restore the cursor: the parser backtracks at one ambiguity

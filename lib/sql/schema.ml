@@ -14,8 +14,6 @@ let add name attrs (t : t) : t = (norm name, attrs) :: t
 
 let attrs (t : t) name = List.assoc_opt (norm name) t
 
-let mem (t : t) name = List.mem_assoc (norm name) t
-
 let has_attr (t : t) name attr =
   match attrs t name with
   | None -> false

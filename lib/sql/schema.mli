@@ -7,5 +7,4 @@ val empty : t
 val of_list : (string * string list) list -> t
 val add : string -> string list -> t -> t
 val attrs : t -> string -> string list option
-val mem : t -> string -> bool
 val has_attr : t -> string -> string -> bool

@@ -321,22 +321,3 @@ let extract ?(schema = Schema.empty) (stmt : statement) =
     schema = !schema;
     warnings = List.rev !warnings;
   }
-
-(* --- conjunctive core ----------------------------------------------------- *)
-
-let is_constant = function Lit _ -> true | _ -> false
-
-let conjunctive_core (s : select) =
-  let keep c =
-    match c with
-    | Cmp (Eq, Col _, Col _) -> true
-    | Cmp (Eq, Col _, e) when is_constant e -> true
-    | Cmp (Eq, e, Col _) when is_constant e -> true
-    | _ -> false
-  in
-  let where =
-    match s.where with
-    | None -> None
-    | Some c -> Ast.conjoin (List.filter keep (Ast.conjuncts c))
-  in
-  { s with where; group_by = []; having = None; order_by = [] }

@@ -23,8 +23,3 @@ type outcome = {
 }
 
 val extract : ?schema:Schema.t -> Ast.statement -> outcome
-
-val conjunctive_core : Ast.select -> Ast.select
-(** Keep only the FROM list and the equality conjuncts
-    [col = col] / [col = const] of WHERE; everything else — including any
-    condition below OR or NOT — is dropped (paper §5.2). *)

@@ -23,14 +23,12 @@ val parse_report : string -> (instance, Kit.Diag.t list) result
 (** XML errors keep their byte spans; semantic errors (missing
     sections, bad root) anchor at offset 0. *)
 
-val to_hypergraph : instance -> (Hg.Hypergraph.t, string) result
-(** Fails when a constraint references an undeclared variable or the
-    instance has no constraints. Variables not occurring in any scope are
-    dropped (hypergraphs have no isolated vertices). *)
-
 val read_report : string -> (Hg.Hypergraph.t, Kit.Diag.t list) result
-(** {!parse_report} followed by {!to_hypergraph}, whose errors anchor
-    at offset 0. *)
+(** {!parse_report} followed by the translation to a hypergraph, which
+    fails, anchored at offset 0, when a constraint references an
+    undeclared variable or the instance has no constraints. Variables not
+    occurring in any scope are dropped (hypergraphs have no isolated
+    vertices). *)
 
 val identifiers : Hg.Hypergraph.t -> string array
 (** The variable id {!to_xml} writes for each vertex. A name made only of

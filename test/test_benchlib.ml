@@ -183,7 +183,7 @@ let analysis_witnesses_valid () =
           Alcotest.(check bool)
             (r.B.Analysis.instance.B.Instance.name ^ " valid witness")
             true
-            (Decomp.is_valid_hd r.B.Analysis.instance.B.Instance.hg d)
+            (Decomp.check_hd r.B.Analysis.instance.B.Instance.hg d = [])
       | None -> ())
     records
 
@@ -444,7 +444,7 @@ let gate_committed_file () =
 let gate_two_legs () =
   let g =
     gates
-      "perf.components.words <= 130\nperf.separates.words <= 55\n\
+      "perf.components.words <= 130\nperf.vertices_of_edges.words <= 8\n\
        serve.errors <= 0\nserve.rps >= 20\nserve.p99_ms <= 5000\n"
   in
   Alcotest.(check (list string)) "serve passes" []
@@ -454,7 +454,7 @@ let gate_two_legs () =
     (B.Gate.check g ~leg:"perf"
        [
          ("components.words", [ 64. ]);
-         ("separates.words", [ 26. ]);
+         ("vertices_of_edges.words", [ 3. ]);
          ("is_balanced.words", [ 44. ]);
        ])
 

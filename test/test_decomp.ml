@@ -24,8 +24,8 @@ let bag l = Bitset.of_list 3 l
 let good = node (bag [ 0; 1; 2 ]) [ elt triangle 0; elt triangle 1 ] []
 
 let accepts_valid () =
-  Alcotest.(check bool) "valid HD accepted" true (Decomp.is_valid_hd triangle good);
-  Alcotest.(check bool) "valid GHD accepted" true (Decomp.is_valid_ghd triangle good);
+  Alcotest.(check bool) "valid HD accepted" true (Decomp.check_hd triangle good = []);
+  Alcotest.(check bool) "valid GHD accepted" true (Decomp.check_ghd triangle good = []);
   Alcotest.(check int) "width" 2 (Decomp.width good);
   Alcotest.(check int) "size" 1 (Decomp.size good)
 
@@ -91,7 +91,7 @@ let detects_special_condition () =
     }
   in
   (* As a GHD this is fine (bags covered, edges covered, connected)... *)
-  Alcotest.(check bool) "valid GHD" true (Decomp.is_valid_ghd h d);
+  Alcotest.(check bool) "valid GHD" true (Decomp.check_ghd h d = []);
   (* ... but the special condition fails at the root: 1 ∈ V(T_root) ∩
      B(lambda_root) yet 1 ∉ B_root. *)
   let violations = Decomp.check_hd h d in
@@ -106,13 +106,13 @@ let subedge_cover_elements_ok () =
   let d =
     node (bag [ 0; 1; 2 ]) [ sub; elt triangle 1; elt triangle 2 ] []
   in
-  Alcotest.(check bool) "subedge accepted" true (Decomp.is_valid_ghd triangle d);
+  Alcotest.(check bool) "subedge accepted" true (Decomp.check_ghd triangle d = []);
   let bad : Decomp.cover_elt =
     { Decomp.label = "bad"; vertices = bag [ 2 ]; source = Decomp.Subedge 0 }
   in
   let d = node (bag [ 0; 1; 2 ]) [ elt triangle 0; elt triangle 1; bad ] [] in
   Alcotest.(check bool) "non-subset subedge rejected" false
-    (Decomp.is_valid_ghd triangle d)
+    (Decomp.check_ghd triangle d = [])
 
 let special_sources_rejected () =
   let sp : Decomp.cover_elt =
@@ -120,7 +120,7 @@ let special_sources_rejected () =
   in
   let d = node (bag [ 0; 1; 2 ]) [ sp; elt triangle 1 ] [] in
   Alcotest.(check bool) "special edge in final GHD rejected" false
-    (Decomp.is_valid_ghd triangle d)
+    (Decomp.check_ghd triangle d = [])
 
 let map_covers_and_nodes () =
   let d =
@@ -148,18 +148,13 @@ let fractional_validator () =
     }
   in
   Alcotest.(check bool) "half weights cover the triangle" true
-    (Decomp.Fractional.is_valid_fhd triangle fhd);
+    (Decomp.Fractional.check_fhd triangle fhd = []);
   Alcotest.(check (float 1e-9)) "width" 1.5 (Decomp.Fractional.width fhd);
   let under =
     { fhd with Decomp.Fractional.fcover = [ (0, 0.5); (1, 0.5) ] }
   in
   Alcotest.(check bool) "undercovered bag rejected" false
-    (Decomp.Fractional.is_valid_fhd triangle under)
-
-let fractional_of_integral () =
-  let f = Decomp.Fractional.of_integral good in
-  Alcotest.(check (float 1e-9)) "weight-1 view" 2.0 (Decomp.Fractional.width f);
-  Alcotest.(check bool) "valid" true (Decomp.Fractional.is_valid_fhd triangle f)
+    (Decomp.Fractional.check_fhd triangle under = [])
 
 let () =
   Alcotest.run "decomp"
@@ -183,6 +178,5 @@ let () =
       ( "fractional",
         [
           Alcotest.test_case "validator" `Quick fractional_validator;
-          Alcotest.test_case "of_integral" `Quick fractional_of_integral;
         ] );
     ]

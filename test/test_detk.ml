@@ -91,7 +91,7 @@ let hypertree_width_driver () =
   (match opt with
   | Some (hw, d) ->
       Alcotest.(check int) "triangle hw" 2 hw;
-      Alcotest.(check bool) "valid" true (Decomp.is_valid_hd triangle d)
+      Alcotest.(check bool) "valid" true (Decomp.check_hd triangle d = [])
   | None -> Alcotest.fail "triangle hw must be found");
   let opt, _ = Detk.hypertree_width (cycle 7) in
   match opt with
@@ -103,7 +103,7 @@ let grid_width () =
   let h = grid 3 3 in
   match Detk.solve h ~k:3 with
   | Detk.Decomposition d ->
-      Alcotest.(check bool) "valid HD" true (Decomp.is_valid_hd h d)
+      Alcotest.(check bool) "valid HD" true (Decomp.check_hd h d = [])
   | Detk.No_decomposition -> Alcotest.fail "3x3 grid should have hw <= 3"
   | Detk.Timeout -> Alcotest.fail "timeout"
 
@@ -134,7 +134,7 @@ let timeout_mid_search_levels () =
       | Detk.Decomposition d ->
           Alcotest.(check bool)
             (Printf.sprintf "fuel %d yields a valid HD" fuel)
-            true (Decomp.is_valid_hd h d))
+            true (Decomp.check_hd h d = []))
     [ 1; 10; 100; 1000 ]
 
 let memoization_consistency () =
@@ -167,7 +167,7 @@ let prop_hd_valid =
       let h = H.of_int_edges edges in
       let k = 3 in
       match Detk.solve h ~k with
-      | Detk.Decomposition d -> Decomp.is_valid_hd h d && Decomp.width d <= k
+      | Detk.Decomposition d -> Decomp.check_hd h d = [] && Decomp.width d <= k
       | Detk.No_decomposition | Detk.Timeout -> true)
 
 let prop_monotone =
@@ -186,7 +186,7 @@ let prop_always_some_width =
     (QCheck.make random_hg_gen) (fun edges ->
       let h = H.of_int_edges edges in
       match Detk.hypertree_width h with
-      | Some (hw, d), _ -> hw <= h.H.n_edges && Decomp.is_valid_hd h d
+      | Some (hw, d), _ -> hw <= h.H.n_edges && Decomp.check_hd h d = []
       | None, _ -> false)
 
 let () =

@@ -1,6 +1,5 @@
 (* Tests for the extension modules: GYO acyclicity, primal-graph treewidth
-   heuristics, the Datalog-style CQ front-end and the BMIP subedge
-   variant. *)
+   heuristics and the BMIP subedge variant. *)
 
 module H = Hg.Hypergraph
 module Bitset = Kit.Bitset
@@ -44,7 +43,7 @@ let gyo_join_tree_is_hd () =
     (fun h ->
       match Detk.solve h ~k:1 with
       | Detk.Decomposition d ->
-          Alcotest.(check bool) "valid width-1 HD" true (Decomp.is_valid_hd h d);
+          Alcotest.(check bool) "valid width-1 HD" true (Decomp.check_hd h d = []);
           Alcotest.(check int) "width" 1 (Decomp.width d)
       | _ -> Alcotest.fail "expected acyclic")
     cases
@@ -75,8 +74,8 @@ let primal_graph () =
   Alcotest.(check (list int)) "neighbours of 0" [ 1; 2 ] (Bitset.to_list adj.(0));
   let h = H.of_int_edges [ [ 0; 1; 2 ] ] in
   let adj = Hg.Primal.graph h in
-  Alcotest.(check bool) "edge is clique" true
-    (Hg.Primal.is_clique adj (Bitset.of_list 3 [ 0; 1; 2 ]))
+  Alcotest.(check (list int)) "edge makes 1 adjacent to 0 and 2" [ 0; 2 ]
+    (Bitset.to_list adj.(1))
 
 let treewidth_known () =
   (* Trees: tw 1. Cycles: tw 2. Cliques: tw n-1. *)
@@ -116,46 +115,6 @@ let prop_tw_bounds_consistent =
       QCheck.assume (edges <> []);
       let h = H.of_int_edges edges in
       Hg.Primal.lower_bound h <= fst (Hg.Primal.upper_bound h))
-
-(* --- CQ front-end ------------------------------------------------------------- *)
-
-let cq_parse () =
-  match Cq.parse "answer(X, Z) :- r(X, Y), s(Y, Z), t(Z, 'a', 3)." with
-  | Error m -> Alcotest.fail m
-  | Ok rule ->
-      Alcotest.(check bool) "head present" true (rule.Cq.head <> None);
-      Alcotest.(check int) "three atoms" 3 (List.length rule.Cq.body);
-      let t = List.nth rule.Cq.body 2 in
-      Alcotest.(check int) "constants kept in AST" 3 (List.length t.Cq.terms)
-
-let cq_hypergraph () =
-  match Cq.read "q(X) :- r(X, Y), s(Y, Z), t(Z, X)." with
-  | Error m -> Alcotest.fail m
-  | Ok h ->
-      Alcotest.(check int) "3 edges" 3 h.H.n_edges;
-      Alcotest.(check int) "3 variables" 3 h.H.n_vertices;
-      (* The triangle: hw 2. *)
-      (match Detk.solve h ~k:1 with
-      | Detk.No_decomposition -> ()
-      | _ -> Alcotest.fail "triangle CQ is cyclic")
-
-let cq_headless_and_constants () =
-  (match Cq.read "r(X, b), s(X, 1)." with
-  | Ok h ->
-      Alcotest.(check int) "constants are not vertices" 1 h.H.n_vertices;
-      Alcotest.(check int) "two atoms" 2 h.H.n_edges
-  | Error m -> Alcotest.fail m);
-  match Cq.read "r(a, b)." with
-  | Error _ -> () (* no variables at all *)
-  | Ok _ -> Alcotest.fail "constant-only CQ must fail"
-
-let cq_errors () =
-  List.iter
-    (fun src ->
-      match Cq.parse src with
-      | Error _ -> ()
-      | Ok _ -> Alcotest.failf "should fail: %s" src)
-    [ "r(X"; "r(X,)."; ":- r(X)."; "r(X). garbage"; "" ]
 
 (* --- BMIP variant ---------------------------------------------------------------- *)
 
@@ -212,13 +171,6 @@ let () =
           Alcotest.test_case "known widths" `Quick treewidth_known;
           Alcotest.test_case "heuristics" `Quick treewidth_heuristics_agree_on_easy;
           qt prop_tw_bounds_consistent;
-        ] );
-      ( "cq",
-        [
-          Alcotest.test_case "parse" `Quick cq_parse;
-          Alcotest.test_case "hypergraph" `Quick cq_hypergraph;
-          Alcotest.test_case "headless + constants" `Quick cq_headless_and_constants;
-          Alcotest.test_case "errors" `Quick cq_errors;
         ] );
       ( "bmip",
         [

@@ -42,8 +42,11 @@ let random_bounds () =
   done
 
 let generators_deterministic () =
-  let h1 = Gen.Random_cq.paper_parameters (Kit.Rng.create 9) in
-  let h2 = Gen.Random_cq.paper_parameters (Kit.Rng.create 9) in
+  let draw () =
+    Gen.Random_cq.random (Kit.Rng.create 9) ~n_vertices:40 ~n_edges:20
+      ~max_arity:10
+  in
+  let h1 = draw () and h2 = draw () in
   Alcotest.(check bool) "same seed same hypergraph" true (H.equal_structure h1 h2)
 
 let grid_widths () =

@@ -153,7 +153,7 @@ let subedges_local_smaller () =
 let portfolio_yes () =
   match Ghd.Portfolio.check triangle ~k:2 with
   | Ghd.Portfolio.Yes (d, _) ->
-      Alcotest.(check bool) "valid" true (Decomp.is_valid_ghd triangle d)
+      Alcotest.(check bool) "valid" true (Decomp.check_ghd triangle d = [])
   | _ -> Alcotest.fail "expected yes"
 
 let portfolio_no () =
@@ -199,7 +199,7 @@ let race_agrees_with_check () =
 let race_yes_is_valid () =
   match Ghd.Portfolio.race triangle ~k:2 with
   | Ghd.Portfolio.Yes (d, _) ->
-      Alcotest.(check bool) "valid" true (Decomp.is_valid_ghd triangle d)
+      Alcotest.(check bool) "valid" true (Decomp.check_ghd triangle d = [])
   | _ -> Alcotest.fail "expected yes"
 
 let race_timeout () =
@@ -267,16 +267,6 @@ let race_cancel_accounting () =
       Alcotest.(check bool) "at most members-1 cancelled per race" true
         (cancelled <= 2 * (List.length Ghd.Portfolio.order - 1)))
 
-let portfolio_improvement () =
-  (* hw(fano) = 3 and ghw(fano) = 3: no improvement possible. *)
-  (match Ghd.Portfolio.ghw_improvement fano ~hw:3 with
-  | `Not_improvable -> ()
-  | `Improved _ -> Alcotest.fail "fano ghw cannot be 2"
-  | `Unknown -> Alcotest.fail "unexpected timeout");
-  match Ghd.Portfolio.ghw_improvement triangle ~hw:2 with
-  | `Not_improvable -> ()
-  | _ -> Alcotest.fail "hw 2 never improves"
-
 (* --- cross-validation properties ----------------------------------------- *)
 
 let random_hg_gen =
@@ -315,7 +305,7 @@ let prop_ghd_valid =
       List.for_all
         (fun (alg, k) ->
           match run alg h k with
-          | Detk.Decomposition d -> Decomp.is_valid_ghd h d && Decomp.width d <= k
+          | Detk.Decomposition d -> Decomp.check_ghd h d = [] && Decomp.width d <= k
           | Detk.No_decomposition | Detk.Timeout -> true)
         [ (Global, 1); (Global, 2); (Local, 2); (Balsep, 1); (Balsep, 2); (Balsep, 3) ])
 
@@ -353,7 +343,7 @@ let prop_balsep_ablation_sound =
     (QCheck.make random_hg_gen) (fun edges ->
       let h = H.of_int_edges edges in
       match (Ghd.Bal_sep.solve ~use_subedges:false h ~k:2).Ghd.Bal_sep.outcome with
-      | Detk.Decomposition d -> Decomp.is_valid_ghd h d && Decomp.width d <= 2
+      | Detk.Decomposition d -> Decomp.check_ghd h d = [] && Decomp.width d <= 2
       | Detk.No_decomposition | Detk.Timeout -> true)
 
 let () =
@@ -390,7 +380,6 @@ let () =
             cancelled_member_never_ticks;
           Alcotest.test_case "race cancel accounting" `Quick
             race_cancel_accounting;
-          Alcotest.test_case "improvement" `Quick portfolio_improvement;
         ] );
       ( "properties",
         [

@@ -328,13 +328,79 @@ let isolated_campaign_journals_oom () =
     "journaled as out_of_memory" (Some "out_of_memory")
     (journal_outcome ~path victim)
 
-(* --- machine-readable stdout ------------------------------------------- *)
-
 let read_whole path =
   let ic = open_in_bin path in
   Fun.protect
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
+
+(* The test binary lives in _build/default/test/; the CLI is its
+   sibling at _build/default/bin/ (a declared dune dep). *)
+let exe =
+  Filename.concat
+    (Filename.dirname (Filename.dirname Sys.executable_name))
+    "bin/hyperbench.exe"
+
+(* The CLI's one isolation switch: [campaign --isolate] hard-kills a
+   hang@instance fault at HB_WALL and reports it as the campaign's only
+   timeout. The child gets a process group of its own, so that a broken
+   watchdog fails the test at [limit] instead of hanging it. *)
+let cli_isolate_contains_hang () =
+  let out = Filename.temp_file "hb_iso" ".out" in
+  let env =
+    Array.append
+      [| "HB_WALL=2"; "HB_FAULT=hang@instance.cq-rand-001:1" |]
+      (Array.of_list
+         (List.filter
+            (fun kv -> not (String.starts_with ~prefix:"HB_" kv))
+            (Array.to_list (Unix.environment ()))))
+  in
+  let args =
+    [| exe; "campaign"; "--isolate"; "--scale"; "0.1"; "--fuel"; "20000";
+       "-j"; "2" |]
+  in
+  Fun.protect ~finally:(fun () -> Sys.remove out) @@ fun () ->
+  let t0 = Unix.gettimeofday () in
+  flush stdout;
+  flush stderr;
+  let pid =
+    match Unix.fork () with
+    | 0 -> (
+        try
+          ignore (Unix.setsid ());
+          let fd = Unix.openfile out [ Unix.O_WRONLY; Unix.O_TRUNC ] 0 in
+          Unix.dup2 fd Unix.stdout;
+          Unix.close fd;
+          Unix.execve exe args env
+        with _ -> Unix._exit 127)
+    | pid -> pid
+  in
+  let limit = 30.0 in
+  let rec wait () =
+    match Unix.waitpid [ Unix.WNOHANG ] pid with
+    | 0, _ when Unix.gettimeofday () -. t0 < limit ->
+        Unix.sleepf 0.05;
+        wait ()
+    | 0, _ ->
+        Unix.kill (-pid) Sys.sigkill;
+        ignore (Unix.waitpid [] pid);
+        Alcotest.failf "campaign --isolate still running after %.0fs" limit
+    | _, status -> status
+  in
+  let status = wait () in
+  let elapsed = Unix.gettimeofday () -. t0 in
+  Alcotest.(check bool) "exits 0" true (status = Unix.WEXITED 0);
+  let summary = read_whole out in
+  Alcotest.(check bool)
+    ("exactly one timeout:\n" ^ summary)
+    true
+    (contains ~sub:"| timeout 1 |" summary
+    && contains ~sub:"cq-rand-001: timeout after 1 attempt(s)" summary);
+  Alcotest.(check bool)
+    (Printf.sprintf "killed near HB_WALL (%.2fs)" elapsed)
+    true (elapsed < 15.0)
+
+(* --- machine-readable stdout ------------------------------------------- *)
 
 (* --stats-json -: stdout must carry exactly one JSON document; all the
    human-facing chatter (a campaign's tables included) moves to
@@ -342,13 +408,6 @@ let read_whole path =
    --tables (whose ablation re-solves instances) leaves them as they are
    without it. *)
 let stats_json_stdout_is_parseable () =
-  (* The test binary lives in _build/default/test/; the CLI is its
-     sibling at _build/default/bin/ (a declared dune dep). *)
-  let exe =
-    Filename.concat
-      (Filename.dirname (Filename.dirname Sys.executable_name))
-      "bin/hyperbench.exe"
-  in
   let hg = Filename.temp_file "hb_iso" ".hg" in
   let out = Filename.temp_file "hb_iso" ".out" in
   let err = Filename.temp_file "hb_iso" ".err" in
@@ -422,6 +481,8 @@ let () =
             (in_subprocess isolated_campaign_contains_hang);
           Alcotest.test_case "oom is journaled, siblings undisturbed" `Slow
             (in_subprocess isolated_campaign_journals_oom);
+          Alcotest.test_case "--isolate contains a hang (CLI)" `Slow
+            cli_isolate_contains_hang;
         ] );
       ( "stdout",
         [

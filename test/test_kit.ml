@@ -265,9 +265,7 @@ let deadline_none () =
 let deadline_wall_coherent () =
   let d = Kit.Deadline.of_seconds 60.0 in
   Alcotest.(check bool) "fresh budget alive" false (Kit.Deadline.expired d);
-  Alcotest.(check bool) "elapsed sane" true (Kit.Deadline.elapsed d < 1.0);
-  (* started and the wall deadline come from a single clock reading, so a
-     zero-second budget is expired from the very start. *)
+  (* A zero-second budget is expired from the very start. *)
   Alcotest.(check bool) "zero budget expired" true
     (Kit.Deadline.expired (Kit.Deadline.of_seconds 0.0))
 
@@ -807,29 +805,6 @@ let deadline_fuel_accounting () =
   Alcotest.(check (option int)) "none has no fuel" None
     (Kit.Deadline.fuel_remaining Kit.Deadline.none)
 
-(* --- pool outcomes ----------------------------------------------------------- *)
-
-let pool_run_outcome () =
-  let tasks = Array.init 20 Fun.id in
-  let work x = if x mod 7 = 3 then failwith "boom" else x * x in
-  let check_jobs jobs =
-    let out = Kit.Pool.run_outcome ~jobs work tasks in
-    Alcotest.(check int) "one outcome per task" 20 (Array.length out);
-    Array.iteri
-      (fun i x ->
-        match out.(i) with
-        | Kit.Outcome.Ok v -> Alcotest.(check int) "value in order" (x * x) v
-        | Kit.Outcome.Crash _ ->
-            Alcotest.(check bool) "crash only where injected" true
-              (x mod 7 = 3)
-        | o -> Alcotest.failf "unexpected outcome %s" (Kit.Outcome.label o))
-      tasks
-  in
-  check_jobs 1;
-  check_jobs 4
-
-(* --- diag -------------------------------------------------------------- *)
-
 let contains_sub s sub =
   try
     ignore (Str.search_forward (Str.regexp_string sub) s 0);
@@ -933,7 +908,7 @@ let limits_env () =
    row here fails the coverage check. *)
 let malformed =
   [
-    ("HB_JOBS", "0"); ("HB_MEM_MB", "abc"); ("HB_ISOLATE", "true");
+    ("HB_JOBS", "0"); ("HB_MEM_MB", "abc");
     ("HB_WALL", "abc"); ("HB_CACHE", Sys.executable_name);
     ("HB_FAULT", "boom@x:1"); ("HB_PERF_ITERS", "0");
     ("HB_GATE", "no-such-dir/gates.txt"); ("HB_IDLE", "-1");
@@ -1110,7 +1085,6 @@ let () =
           Alcotest.test_case "parallel = sequential" `Quick pool_matches_sequential;
           Alcotest.test_case "exceptions captured" `Quick pool_captures_exceptions;
           Alcotest.test_case "empty and default" `Quick pool_empty_and_default;
-          Alcotest.test_case "run_outcome" `Quick pool_run_outcome;
         ] );
       ( "outcome",
         [

@@ -214,7 +214,7 @@ let improve_hd_triangle () =
       Alcotest.check feq "width 1.5" 1.5 (Decomp.Fractional.width fhd);
       Alcotest.(check bool)
         "valid FHD" true
-        (Decomp.Fractional.is_valid_fhd triangle fhd)
+        (Decomp.Fractional.check_fhd triangle fhd = [])
   | _ -> Alcotest.fail "triangle has hw 2"
 
 let improve_hd_never_worse =
@@ -231,7 +231,7 @@ let improve_hd_never_worse =
       | Some (hw, d), _ ->
           let fhd = Fhd.Improve_hd.improve h d in
           Decomp.Fractional.width fhd <= float_of_int hw +. 1e-6
-          && Decomp.Fractional.is_valid_fhd h fhd
+          && Decomp.Fractional.check_fhd h fhd = []
       | None, _ -> true)
 
 let frac_improve_check () =
@@ -241,7 +241,7 @@ let frac_improve_check () =
       Alcotest.check feq "achieved width" 1.5 w;
       Alcotest.(check bool)
         "valid" true
-        (Decomp.Fractional.is_valid_fhd triangle fhd)
+        (Decomp.Fractional.check_fhd triangle fhd = [])
   | _ -> Alcotest.fail "expected improvement");
   (* ... but none with rho* <= 1.4. *)
   match Fhd.Frac_improve_hd.check triangle ~k:2 ~k':1.4 with

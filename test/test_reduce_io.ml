@@ -73,7 +73,7 @@ let io_roundtrip () =
       | Error m -> Alcotest.fail m
       | Ok d' ->
           Alcotest.(check bool) "valid after roundtrip" true
-            (Decomp.is_valid_hd triangle d');
+            (Decomp.check_hd triangle d' = []);
           Alcotest.(check int) "same width" (Decomp.width d) (Decomp.width d');
           Alcotest.(check int) "same size" (Decomp.size d) (Decomp.size d'))
   | _ -> Alcotest.fail "triangle decomposes"
@@ -92,7 +92,7 @@ let io_roundtrip_random =
       | Some (_, d), _ -> (
           match Decomp_io.of_text h (Decomp_io.to_text h d) with
           | Ok d' ->
-              Decomp.is_valid_hd h d' && Decomp.width d' = Decomp.width d
+              Decomp.check_hd h d' = [] && Decomp.width d' = Decomp.width d
           | Error _ -> false)
       | None, _ -> true)
 

@@ -1004,11 +1004,12 @@ let malformed_knob_exits_1 () =
     [
       ( "HB_MEM_MB", "abc",
         "hyperbench: HB_MEM_MB: expected an integer >= 1, got \"abc\"" );
-      ( "HB_ISOLATE", "true",
-        "hyperbench: HB_ISOLATE: expected 0 or 1, got \"true\"" );
+      ( "HB_WALL", "abc",
+        "hyperbench: HB_WALL: expected a number > 0, got \"abc\"" );
     ]
 
-(* A retired knob (now a campaign flag) warns like any unknown name. *)
+(* A retired knob (now a command-line flag) warns like any unknown
+   name. *)
 let unknown_knob_warns () =
   List.iter
     (fun (name, value) ->
@@ -1017,7 +1018,7 @@ let unknown_knob_warns () =
       Alcotest.(check bool) (name ^ " warning") true
         (List.mem ("hyperbench: warning: unknown knob " ^ name)
            (String.split_on_char '\n' err)))
-    [ ("HB_NO_SUCH_KNOB", "1"); ("HB_SCALE", "0.1") ]
+    [ ("HB_NO_SUCH_KNOB", "1"); ("HB_SCALE", "0.1"); ("HB_ISOLATE", "1") ]
 
 let () =
   Alcotest.run "serve"

@@ -85,7 +85,7 @@ let query3 () =
   | _ -> Alcotest.fail "expected cyclic (hw > 1)");
   match Detk.solve h ~k:2 with
   | Detk.Decomposition d ->
-      Alcotest.(check bool) "valid" true (Decomp.is_valid_hd h d)
+      Alcotest.(check bool) "valid" true (Decomp.check_hd h d = [])
   | _ -> Alcotest.fail "expected hw = 2"
 
 let setop_split () =
