@@ -207,6 +207,14 @@ module Perf = struct
        packing LP. *)
     let bag = B.of_list nv (List.init 12 (fun i -> 8 + i)) in
     assert (B.cardinal (H.edges_touching medium bag) = 39);
+    (* The serve hit path: the XCSP reader on [medium] as a document, the
+       witness decoder on an HD of [medium], the fingerprint. *)
+    let xml = Xcsp3.Xcsp.to_xml ~name:"medium" medium in
+    let witness =
+      match Detk.solve ~deadline:(Kit.Deadline.of_fuel 200_000) medium ~k:6 with
+      | Detk.Decomposition d -> Decomp_io.to_text medium d
+      | _ -> failwith "decomp_of_text: medium has no HD of width 6 in its fuel"
+    in
     let rows =
       [
         kernel "components"
@@ -222,6 +230,9 @@ module Perf = struct
           ~baseline:(fun () -> is_balanced_ref medium ~within:all ~special:[||] sep)
           (fun () -> Hg.Components.is_balanced medium ~within:all ~special:[||] sep_row 0);
         kernel "rho_star" (fun () -> Fhd.Frac_cover.rho_star medium bag);
+        kernel "xcsp_read" (fun () -> Xcsp3.Xcsp.read_report xml);
+        kernel "decomp_of_text" (fun () -> Decomp_io.of_text medium witness);
+        kernel "fingerprint" (fun () -> H.fingerprint medium);
         search "detk_solve" detk_solve;
         search "bal_sep_solve" bal_sep_solve;
       ]

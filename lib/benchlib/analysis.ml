@@ -36,20 +36,21 @@ let analyze_one ~budget ~max_k ?cache (inst : Instance.t) =
      Result_cache.find); definitive verdicts from a real solve are
      written back. Timeouts stay uncached — they depend on the budget,
      not the instance. *)
+  let cache = Option.map (fun c -> (c, Result_cache.key h)) cache in
   let solve k =
     match cache with
     | None -> Detk.solve ~deadline:(budget ()) h ~k
-    | Some c -> (
-        match Result_cache.find c h ~meth:"hd" ~k with
+    | Some (c, key) -> (
+        match Result_cache.find_key c key ~meth:"hd" ~k with
         | Some (Result_cache.Yes d) -> Detk.Decomposition d
         | Some Result_cache.No -> Detk.No_decomposition
         | None ->
             let o = Detk.solve ~deadline:(budget ()) h ~k in
             (match o with
             | Detk.Decomposition d ->
-                Result_cache.store c h ~meth:"hd" ~k (Result_cache.Yes d)
+                Result_cache.store_key c key ~meth:"hd" ~k (Result_cache.Yes d)
             | Detk.No_decomposition ->
-                Result_cache.store c h ~meth:"hd" ~k Result_cache.No
+                Result_cache.store_key c key ~meth:"hd" ~k Result_cache.No
             | Detk.Timeout -> ());
             o)
   in

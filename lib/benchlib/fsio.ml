@@ -38,14 +38,25 @@ let write_atomic path data =
 
 (* The channel is closed on every path; truncation mid-read surfaces as
    [Error], not an escaped End_of_file. *)
+let read_channel path ic =
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () ->
+      match really_input_string ic (in_channel_length ic) with
+      | s -> Ok s
+      | exception End_of_file -> Error (path ^ ": truncated file")
+      | exception Sys_error m -> Error m)
+
 let read_file path =
   match open_in_bin path with
   | exception Sys_error m -> Error m
-  | ic ->
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () ->
-          match really_input_string ic (in_channel_length ic) with
-          | s -> Ok s
-          | exception End_of_file -> Error (path ^ ": truncated file")
-          | exception Sys_error m -> Error m)
+  | ic -> read_channel path ic
+
+(* One open decides both existence and content: [Ok None] when no file
+   is there. *)
+let read_file_opt path =
+  match Unix.openfile path [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0 with
+  | exception Unix.Unix_error ((Unix.ENOENT | Unix.ENOTDIR), _, _) -> Ok None
+  | exception Unix.Unix_error (e, _, _) ->
+      Error (path ^ ": " ^ Unix.error_message e)
+  | fd -> Result.map Option.some (read_channel path (Unix.in_channel_of_descr fd))

@@ -33,8 +33,16 @@ let entry_path t ~fp ~meth ~k =
     (Filename.concat t.dir (String.sub fp 0 2))
     (Printf.sprintf "%s-%s-k%d.json" fp meth k)
 
-let store t hg ~meth ~k verdict =
-  let fp = Hg.Hypergraph.fingerprint hg in
+(* A key is a hypergraph with its fingerprint, computed once: a request
+   that looks up or stores several levels hashes its graph once. The
+   type is abstract so a fingerprint always comes from its graph. *)
+type key = { hg : Hg.Hypergraph.t; fp : string }
+
+let key hg = { hg; fp = Hg.Hypergraph.fingerprint hg }
+let hypergraph key = key.hg
+let fingerprint key = key.fp
+
+let store_key t { hg; fp } ~meth ~k verdict =
   let path = entry_path t ~fp ~meth ~k in
   let fields =
     [
@@ -58,49 +66,47 @@ let store t hg ~meth ~k verdict =
 
 (* Exactly one of hit/miss/invalid ticks per lookup, so
    hit / (hit + miss + invalid) is a well-defined hit rate. *)
-let find t hg ~meth ~k =
-  let fp = Hg.Hypergraph.fingerprint hg in
-  let path = entry_path t ~fp ~meth ~k in
-  if not (Sys.file_exists path) then begin
-    Kit.Metrics.incr m_miss;
+let find_key t { hg; fp } ~meth ~k =
+  let invalid () =
+    Kit.Metrics.incr m_invalid;
     None
-  end
-  else begin
-    let invalid () =
-      Kit.Metrics.incr m_invalid;
+  in
+  let hit v =
+    Kit.Metrics.incr m_hit;
+    Some v
+  in
+  let str field j = Option.bind (J.member field j) J.string_value in
+  match Fsio.read_file_opt (entry_path t ~fp ~meth ~k) with
+  | Ok None ->
+      Kit.Metrics.incr m_miss;
       None
-    in
-    let hit v =
-      Kit.Metrics.incr m_hit;
-      Some v
-    in
-    let str field j = Option.bind (J.member field j) J.string_value in
-    match Fsio.read_file path with
-    | Error _ -> invalid ()
-    | Ok text -> (
-        match J.of_string text with
-        | Error _ -> invalid ()
-        | Ok j ->
-            (* The key is stored redundantly inside the entry; a file
-               that landed under the wrong name (manual copy, tooling
-               bug) must not answer for this key. *)
-            if
-              str "fingerprint" j <> Some fp
-              || str "method" j <> Some meth
-              || Option.bind (J.member "k" j) J.to_int <> Some k
-            then invalid ()
-            else (
-              match str "verdict" j with
-              | Some "no" -> hit No
-              | Some "yes" -> (
-                  match str "hd" j with
-                  | None -> invalid ()
-                  | Some text -> (
-                      match Decomp_io.of_text hg text with
-                      | Error _ -> invalid ()
-                      | Ok d ->
-                          if Decomp.width d <= k && Decomp.check_hd hg d = []
-                          then hit (Yes d)
-                          else invalid ()))
-              | Some _ | None -> invalid ()))
-  end
+  | Error _ -> invalid ()
+  | Ok (Some text) -> (
+      match J.of_string text with
+      | Error _ -> invalid ()
+      | Ok j ->
+          (* The key is stored redundantly inside the entry; a file
+             that landed under the wrong name (manual copy, tooling
+             bug) must not answer for this key. *)
+          if
+            str "fingerprint" j <> Some fp
+            || str "method" j <> Some meth
+            || Option.bind (J.member "k" j) J.to_int <> Some k
+          then invalid ()
+          else (
+            match str "verdict" j with
+            | Some "no" -> hit No
+            | Some "yes" -> (
+                match str "hd" j with
+                | None -> invalid ()
+                | Some text -> (
+                    match Decomp_io.of_text hg text with
+                    | Error _ -> invalid ()
+                    | Ok d ->
+                        if Decomp.width d <= k && Decomp.check_hd hg d = []
+                        then hit (Yes d)
+                        else invalid ()))
+            | Some _ | None -> invalid ()))
+
+let store t hg = store_key t (key hg)
+let find t hg = find_key t (key hg)

@@ -17,8 +17,8 @@
     budget-dependent and never cached.
 
     Metrics: exactly one of ["cache.hit"] / ["cache.miss"] /
-    ["cache.invalid"] per {!find}, ["cache.store"] per {!store}; none
-    tick when no cache is configured. *)
+    ["cache.invalid"] per {!find_key}, ["cache.store"] per {!store_key};
+    none tick when no cache is configured. *)
 
 type t
 
@@ -33,12 +33,29 @@ val of_env : unit -> t option
 (** [Some (create ~dir)] when the [HB_CACHE] knob ({!Kit.Config.cache}) names
     a directory, [None] otherwise. *)
 
-val find : t -> Hg.Hypergraph.t -> meth:string -> k:int -> verdict option
-(** Validated lookup; [None] on miss or on an entry that fails
-    validation. [Yes d] always satisfies [Decomp.check_hd = []] and
-    [Decomp.width d <= k] against the given hypergraph. *)
+type key
+(** A hypergraph together with its {!Hg.Hypergraph.fingerprint},
+    computed once. Abstract: only {!key} makes one, so no lookup or
+    store can be handed a fingerprint that is not its graph's. *)
 
-val store : t -> Hg.Hypergraph.t -> meth:string -> k:int -> verdict -> unit
+val key : Hg.Hypergraph.t -> key
+val hypergraph : key -> Hg.Hypergraph.t
+val fingerprint : key -> string
+
+val find_key : t -> key -> meth:string -> k:int -> verdict option
+(** Validated lookup; [None] on miss or on an entry that fails
+    validation. A missing entry is a miss; an entry that cannot be read,
+    parsed or matched against its key is invalid. [Yes d] always
+    satisfies [Decomp.check_hd = []] and [Decomp.width d <= k] against
+    the key's hypergraph. *)
+
+val store_key : t -> key -> meth:string -> k:int -> verdict -> unit
 (** Persist a definitive verdict (atomic write; concurrent writers of
     the same key are safe — last rename wins and both contents are
     valid). I/O failure raises [Sys_error]. *)
+
+val find : t -> Hg.Hypergraph.t -> meth:string -> k:int -> verdict option
+(** [find t h] is [find_key t (key h)]. *)
+
+val store : t -> Hg.Hypergraph.t -> meth:string -> k:int -> verdict -> unit
+(** [store t h] is [store_key t (key h)]. *)

@@ -120,11 +120,12 @@ let timeout ~k ~alg =
    verdicts are written back, timeouts stay uncached. Only "hd" is
    cache-eligible: GHD witnesses would fail the HD replay check on every
    hit and poison the hit rate. *)
-let solve_hd_level ?cache ?sweep ~hits ~misses ~deadline h ~k =
+let solve_hd_level ?cache ?sweep ~hits ~misses ~deadline key ~k =
+  let h = Result_cache.hypergraph key in
   match cache with
   | None -> Detk.solve ~deadline ?sweep h ~k
   | Some c -> (
-      match Result_cache.find c h ~meth:"hd" ~k with
+      match Result_cache.find_key c key ~meth:"hd" ~k with
       | Some (Result_cache.Yes d) ->
           incr hits;
           Detk.Decomposition d
@@ -136,9 +137,9 @@ let solve_hd_level ?cache ?sweep ~hits ~misses ~deadline h ~k =
           let o = Detk.solve ~deadline ?sweep h ~k in
           (match o with
           | Detk.Decomposition d ->
-              Result_cache.store c h ~meth:"hd" ~k (Result_cache.Yes d)
+              Result_cache.store_key c key ~meth:"hd" ~k (Result_cache.Yes d)
           | Detk.No_decomposition ->
-              Result_cache.store c h ~meth:"hd" ~k Result_cache.No
+              Result_cache.store_key c key ~meth:"hd" ~k Result_cache.No
           | Detk.Timeout -> ());
           o)
 
@@ -150,18 +151,24 @@ let ghd_answer (a : Detk.outcome) ~exact ~k ~alg h =
       if exact then no ~k ~alg else timeout ~k ~alg
   | Detk.Timeout -> timeout ~k ~alg
 
-(* Runs in the solving process (in-process or forked child); wraps the
-   whole solve in [local_delta] so cache hits/misses and search counters
-   recorded here travel back to the daemon with the result. *)
-let solve_once ~cfg ~meth ~k ~budget h () =
+(* Runs in the solving process (in-process or forked child). A forked
+   child wraps the whole solve in [local_delta] so cache hits/misses and
+   search counters recorded there travel back to the daemon with the
+   result; in-process they are already in the daemon's store. *)
+let solve_once ~cfg ~meth ~k ~budget key () =
+  let h = Result_cache.hypergraph key in
   let hits = ref 0 and misses = ref 0 in
+  let recorded f =
+    if cfg.isolate then Kit.Metrics.local_delta f
+    else (f (), Kit.Metrics.empty)
+  in
   let r, delta =
-    Kit.Metrics.local_delta (fun () ->
+    recorded (fun () ->
         match (meth, k) with
         | "hd", Some k -> (
             let deadline = fresh_deadline budget in
             match
-              solve_hd_level ?cache:cfg.cache ~hits ~misses ~deadline h ~k
+              solve_hd_level ?cache:cfg.cache ~hits ~misses ~deadline key ~k
             with
             | Detk.Decomposition d -> yes h d ~k ~alg:"hd"
             | Detk.No_decomposition -> no ~k ~alg:"hd"
@@ -176,7 +183,7 @@ let solve_once ~cfg ~meth ~k ~budget h () =
               else
                 match
                   solve_hd_level ?cache:cfg.cache ~hits ~misses ~sweep
-                    ~deadline h ~k:lvl
+                    ~deadline key ~k:lvl
                 with
                 | Detk.Decomposition d -> yes h d ~k:lvl ~alg:"hd"
                 | Detk.No_decomposition -> go (lvl + 1)
@@ -222,8 +229,8 @@ let wall_of_budget cfg = function
   | Seconds s -> s +. 1.0
   | Fuel _ -> cfg.max_timeout +. 1.0
 
-let run_solve cfg ~meth ~k ~budget h =
-  let task = solve_once ~cfg ~meth ~k ~budget h in
+let run_solve cfg ~meth ~k ~budget key =
+  let task = solve_once ~cfg ~meth ~k ~budget key in
   (* Worker-kill injection is decided here, in the daemon, because under
      isolation each forked worker carries a fresh copy of the Fault hit
      counters — a probabilistic clause evaluated in the child would see
@@ -265,11 +272,11 @@ let subsystem_of cfg = if cfg.isolate then "isolation" else "solver"
 (* Self-healing: a crashed worker is restarted (fresh fork next attempt)
    after a jittered backoff, up to the supervisor's retry budget; every
    restart is counted and charged to the subsystem's breaker. *)
-let run_solve_supervised cfg ~meth ~k ~budget h =
+let run_solve_supervised cfg ~meth ~k ~budget key =
   let sup = cfg.supervisor in
   let br = Serve.Supervisor.breaker sup (subsystem_of cfg) in
   let rec attempt n =
-    match run_solve cfg ~meth ~k ~budget h with
+    match run_solve cfg ~meth ~k ~budget key with
     | Kit.Outcome.Crash _ when n < Serve.Supervisor.retries sup ->
         Serve.Supervisor.restarted sup;
         Serve.Breaker.failure br;
@@ -352,9 +359,9 @@ let parse_params cfg req =
 (* The 200 body for a completed solve. One function for both the normal
    and the degraded (breaker-open, cache-only) path, so a degraded hit
    is byte-identical to the answer the solver would have produced. *)
-let solved_json h ~meth (s : solved) =
+let solved_json key ~meth (s : solved) =
   Kit.Json.Obj
-    [ ("fingerprint", Kit.Json.String (Hg.Hypergraph.fingerprint h));
+    [ ("fingerprint", Kit.Json.String (Result_cache.fingerprint key));
       ("method", Kit.Json.String meth);
       ("algorithm", Kit.Json.String s.s_algorithm);
       ("k", Kit.Json.Int s.s_k);
@@ -374,13 +381,14 @@ let m_degraded = Kit.Metrics.counter "serve.degraded_hits"
    but a cached definitive verdict is still good — serve it. Otherwise
    admit we are degraded: 503 with the breaker's honest probe schedule
    as Retry-After. *)
-let degraded cfg h ~meth ~k ~retry_after:ra =
+let degraded cfg key ~meth ~k ~retry_after:ra =
+  let h = Result_cache.hypergraph key in
   let cached =
     match cfg.cache with
     | Some c when meth = "hd" -> (
         match k with
         | Some k -> (
-            match Result_cache.find c h ~meth:"hd" ~k with
+            match Result_cache.find_key c key ~meth:"hd" ~k with
             | Some (Result_cache.Yes d) -> Some (yes h d ~k ~alg:"hd")
             | Some Result_cache.No -> Some (no ~k ~alg:"hd")
             | None -> None)
@@ -390,7 +398,7 @@ let degraded cfg h ~meth ~k ~retry_after:ra =
             let rec go lvl =
               if lvl > cfg.max_k then Some (no ~k:cfg.max_k ~alg:"hd")
               else
-                match Result_cache.find c h ~meth:"hd" ~k:lvl with
+                match Result_cache.find_key c key ~meth:"hd" ~k:lvl with
                 | Some (Result_cache.Yes d) -> Some (yes h d ~k:lvl ~alg:"hd")
                 | Some Result_cache.No -> go (lvl + 1)
                 | None -> None
@@ -407,7 +415,7 @@ let degraded cfg h ~meth ~k ~retry_after:ra =
           [ ("X-HB-Cache", s.s_cache);
             ("X-HB-Seconds", "0.000000");
             ("X-HB-Degraded", "cache") ]
-        (solved_json h ~meth s)
+        (solved_json key ~meth s)
   | None ->
       Serve.Http.response
         ~headers:[ retry_after_header ra; ("X-HB-Degraded", "breaker-open") ]
@@ -443,14 +451,17 @@ let decompose cfg req =
                 | Seconds s, Some d -> Seconds (Float.min s d)
                 | b, _ -> b
               in
+              (* The request's one fingerprint: every cache level, the
+                 degraded path and the response body read it here. *)
+              let key = Result_cache.key h in
               let br =
                 Serve.Supervisor.breaker cfg.supervisor (subsystem_of cfg)
               in
               match Serve.Breaker.acquire br with
-              | `Reject ra -> degraded cfg h ~meth ~k ~retry_after:ra
+              | `Reject ra -> degraded cfg key ~meth ~k ~retry_after:ra
               | `Proceed | `Probe -> (
                   let t0 = Unix.gettimeofday () in
-                  match run_solve_supervised cfg ~meth ~k ~budget h with
+                  match run_solve_supervised cfg ~meth ~k ~budget key with
                   | Kit.Outcome.Ok s ->
                       Serve.Breaker.success br;
                       (* In-process solves recorded straight into this
@@ -462,7 +473,7 @@ let decompose cfg req =
                         ~headers:
                           [ ("X-HB-Cache", s.s_cache);
                             ("X-HB-Seconds", Printf.sprintf "%.6f" seconds) ]
-                        (solved_json h ~meth s)
+                        (solved_json key ~meth s)
                   | Kit.Outcome.Timeout ->
                       (* The watchdog killed the worker: the budget is
                          spent and the level is whatever the client asked
@@ -475,7 +486,7 @@ let decompose cfg req =
                           [ ("X-HB-Seconds", Printf.sprintf "%.6f" seconds) ]
                         (Kit.Json.Obj
                            [ ("fingerprint",
-                              Kit.Json.String (Hg.Hypergraph.fingerprint h));
+                              Kit.Json.String (Result_cache.fingerprint key));
                              ("method", Kit.Json.String meth);
                              ("algorithm", Kit.Json.String meth);
                              ("k",

@@ -68,23 +68,44 @@ let to_text h (d : Decomp.t) =
 
 (* --- parsing ------------------------------------------------------------- *)
 
+(* Name -> id for the vertices and for the edges, built once per
+   [of_text] call; the lowest id wins should a name repeat, as a scan
+   from the front would find. *)
+type index = {
+  vertices : (string, int) Hashtbl.t;
+  edges : (string, int) Hashtbl.t;
+}
+
+let index_names names =
+  let t = Hashtbl.create (Array.length names) in
+  for i = Array.length names - 1 downto 0 do
+    Hashtbl.replace t names.(i) i
+  done;
+  t
+
+let index h =
+  {
+    vertices = index_names h.Hypergraph.vertex_names;
+    edges = index_names h.Hypergraph.edge_names;
+  }
+
 (* One node line is "{bag} [cover]". A tiny cursor-based lexer handles
    quoted names (whose content may contain any delimiter); bare names
    are read up to the context's terminator characters and trimmed, which
    keeps files written before quoting existed parsing as they did. *)
-let parse_line h line =
+let parse_line h idx line =
   let line_body = String.trim line in
   let len = String.length line_body in
   let pos = ref 0 in
   let fail msg = Error (Printf.sprintf "%s in node line: %s" msg line_body) in
-  let peek () = if !pos < len then Some line_body.[!pos] else None in
+  let looking_at c = !pos < len && line_body.[!pos] = c in
   let skip_ws () =
     while !pos < len && (line_body.[!pos] = ' ' || line_body.[!pos] = '\t') do
       incr pos
     done
   in
   let expect c =
-    if peek () = Some c then begin
+    if looking_at c then begin
       incr pos;
       Ok ()
     end
@@ -95,7 +116,7 @@ let parse_line h line =
      [terms], right-trimmed. [Ok None] when the name is empty. *)
   let name_token terms =
     skip_ws ();
-    if peek () = Some '"' then begin
+    if looking_at '"' then begin
       incr pos;
       let buf = Buffer.create 16 in
       let rec go () =
@@ -124,7 +145,10 @@ let parse_line h line =
     end
     else begin
       let start = !pos in
-      while !pos < len && not (String.contains terms line_body.[!pos]) do
+      (* [String.contains] would raise and catch Not_found per byte *)
+      while
+        !pos < len && Option.is_none (String.index_opt terms line_body.[!pos])
+      do
         incr pos
       done;
       match String.trim (String.sub line_body start (!pos - start)) with
@@ -137,38 +161,30 @@ let parse_line h line =
   let name_list terms close =
     let rec go acc =
       skip_ws ();
-      if peek () = Some close && acc = [] then Ok []
+      if looking_at close && acc = [] then Ok []
       else
         let* name = name_token terms in
         match name with
         | None -> fail "expected a name"
         | Some name -> (
             skip_ws ();
-            match peek () with
-            | Some ',' ->
-                incr pos;
-                go (name :: acc)
-            | Some c when c = close -> Ok (List.rev (name :: acc))
-            | _ -> fail (Printf.sprintf "expected ',' or '%c'" close))
+            if looking_at ',' then begin
+              incr pos;
+              go (name :: acc)
+            end
+            else if looking_at close then Ok (List.rev (name :: acc))
+            else fail (Printf.sprintf "expected ',' or '%c'" close))
     in
     go []
   in
   let vertex name =
-    match
-      Array.to_seq h.Hypergraph.vertex_names
-      |> Seq.mapi (fun i n -> (i, n))
-      |> Seq.find (fun (_, n) -> n = name)
-    with
-    | Some (i, _) -> Ok i
+    match Hashtbl.find_opt idx.vertices name with
+    | Some i -> Ok i
     | None -> Error (Printf.sprintf "unknown vertex %s" name)
   in
   let edge name =
-    match
-      Array.to_seq h.Hypergraph.edge_names
-      |> Seq.mapi (fun i n -> (i, n))
-      |> Seq.find (fun (_, n) -> n = name)
-    with
-    | Some (i, _) -> Ok i
+    match Hashtbl.find_opt idx.edges name with
+    | Some i -> Ok i
     | None -> Error (Printf.sprintf "unknown edge %s" name)
   in
   let rec map_all f = function
@@ -185,7 +201,7 @@ let parse_line h line =
     | None -> fail "expected a cover edge name"
     | Some name ->
         skip_ws ();
-        if peek () = Some '~' then begin
+        if looking_at '~' then begin
           incr pos;
           let* () = expect '{' in
           let* inner = name_list ",}" '}' in
@@ -219,16 +235,16 @@ let parse_line h line =
   let* cover =
     let rec go acc =
       skip_ws ();
-      if peek () = Some ']' && acc = [] then Ok []
+      if looking_at ']' && acc = [] then Ok []
       else
         let* c = cover_elt () in
         skip_ws ();
-        match peek () with
-        | Some ',' ->
-            incr pos;
-            go (c :: acc)
-        | Some ']' -> Ok (List.rev (c :: acc))
-        | _ -> fail "expected ',' or ']'"
+        if looking_at ',' then begin
+          incr pos;
+          go (c :: acc)
+        end
+        else if looking_at ']' then Ok (List.rev (c :: acc))
+        else fail "expected ',' or ']'"
     in
     go []
   in
@@ -253,10 +269,11 @@ let of_text h text =
   | _ -> (
       (* Parse into (depth, bag, cover) triples, then fold into a tree via
          a stack of (depth, pending children) frames. *)
+      let idx = index h in
       let rec parse_all acc = function
         | [] -> Ok (List.rev acc)
         | line :: rest -> (
-            match parse_line h line with
+            match parse_line h idx line with
             | Error _ as e -> e
             | Ok (bag, cover) -> parse_all ((indent_of line, bag, cover) :: acc) rest)
       in

@@ -8,9 +8,13 @@ let add_byte h b =
 
 let add_char h c = add_byte h (Char.code c)
 
+(* Plain loops over a local ref: the compiler keeps the state unboxed,
+   where a [String.iter] closure would box an [Int64] per byte. *)
 let add_string h s =
   let h = ref h in
-  String.iter (fun c -> h := add_char !h c) s;
+  for i = 0 to String.length s - 1 do
+    h := add_byte !h (Char.code (String.unsafe_get s i))
+  done;
   !h
 
 let add_int h n =

@@ -87,18 +87,24 @@ let default_write_timeout = 30.0
 type conn = {
   fd : Unix.file_descr;
   who : string;
-  mutable buf : string;  (* bytes read but not yet consumed *)
+  mutable buf : string;
+      (* bytes read but not yet consumed; a body that outgrows it is read
+         straight into its own buffer, so this stays a few KiB *)
   scratch : Bytes.t;  (* per-connection read buffer — conns cross threads *)
   mid_read : float;  (* per-read stall budget once a request has started *)
   send_timeout : float;  (* per-response write budget *)
   abort : unit -> bool;  (* the server is draining — shed stalled peers *)
   grace : float;  (* extra seconds a blocked read gets once [abort] *)
   mutable abort_seen : float;  (* when this conn first observed [abort] *)
+  mutable rcv_slice : float;  (* the SO_RCVTIMEO set on [fd]; nan: none *)
 }
 
 let conn ?(client = "-") ?(mid_read_timeout = default_mid_read_timeout)
     ?(write_timeout = default_write_timeout) ?(abort = fun () -> false)
     ?(grace = infinity) fd =
+  (* The write budget never changes: one syscall per connection. *)
+  (try Unix.setsockopt_float fd Unix.SO_SNDTIMEO write_timeout
+   with Unix.Unix_error _ | Invalid_argument _ -> ());
   {
     fd;
     who = client;
@@ -109,6 +115,7 @@ let conn ?(client = "-") ?(mid_read_timeout = default_mid_read_timeout)
     abort;
     grace;
     abort_seen = neg_infinity;
+    rcv_slice = Float.nan;
   }
 
 let client c = c.who
@@ -124,20 +131,26 @@ type read_error =
 
 exception Fail of read_error
 
-let set_rcvtimeo fd secs =
-  try Unix.setsockopt_float fd Unix.SO_RCVTIMEO secs
-  with Unix.Unix_error _ | Invalid_argument _ -> ()
+(* Every slice but the last before a deadline is the same 0.25 s, so
+   the socket option is set only when the slice changes. *)
+let set_rcvtimeo c secs =
+  if not (Float.equal secs c.rcv_slice) then begin
+    c.rcv_slice <- secs;
+    try Unix.setsockopt_float c.fd Unix.SO_RCVTIMEO secs
+    with Unix.Unix_error _ | Invalid_argument _ -> ()
+  end
 
-(* Read more bytes into [c.buf]. [started] selects which timeout error a
-   stall maps to. Raises [Fail] on eof/timeout/reset. A connection is
-   owned by exactly one worker at a time.
+(* Read between 1 and [len] bytes into [dst] at [off] and return how
+   many. [started] selects which timeout error a stall maps to. Raises
+   [Fail] on eof/timeout/reset. A connection is owned by exactly one
+   worker at a time.
 
    The wait is sliced so a blocked read notices [abort] (drain) within a
    slice and then gets only [grace] more seconds, not its whole timeout:
    SIGTERM with a mid-body-stalled peer must not pin the join for the
    full stall budget. A slice that returns data costs nothing extra —
    slicing only runs while the peer is silent. *)
-let refill c ~timeout ~started =
+let read_some c ~timeout ~started dst off len =
   let stalled =
     (* Injected peer behaviour (chaos harness): a stall pretends the
        socket stays silent so the genuine timeout/drain machinery below
@@ -166,19 +179,25 @@ let refill c ~timeout ~started =
         -1
       end
       else begin
-        set_rcvtimeo c.fd slice;
-        try Unix.read c.fd c.scratch 0 (Bytes.length c.scratch) with
+        set_rcvtimeo c slice;
+        try Unix.read c.fd dst off len with
         | Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
           ->
             -1
         | Unix.Unix_error _ -> raise (Fail Eof)
       end
     in
-    if n = 0 then raise (Fail Eof)
-    else if n < 0 then wait ()
-    else c.buf <- c.buf ^ Bytes.sub_string c.scratch 0 n
+    if n = 0 then raise (Fail Eof) else if n < 0 then wait () else n
   in
   wait ()
+
+(* Append one read to [c.buf]: heads and chunk lines, whose size is
+   capped, so the append stays cheap. *)
+let refill c ~timeout ~started =
+  let n =
+    read_some c ~timeout ~started c.scratch 0 (Bytes.length c.scratch)
+  in
+  c.buf <- c.buf ^ Bytes.sub_string c.scratch 0 n
 
 let take c n =
   let s = String.sub c.buf 0 n in
@@ -343,11 +362,41 @@ let content_length headers =
 (* Bodies                                                              *)
 (* ------------------------------------------------------------------ *)
 
+(* The next [n] bytes. Beyond what is buffered they are read straight
+   into one string of that size, never past its end, so a large body
+   costs one allocation and no re-copying. *)
 let read_exact c n =
-  while String.length c.buf < n do
-    refill c ~timeout:c.mid_read ~started:true
-  done;
-  take c n
+  let have = String.length c.buf in
+  if have >= n then take c n
+  else begin
+    let dst = Bytes.create n in
+    Bytes.blit_string c.buf 0 dst 0 have;
+    c.buf <- "";
+    let off = ref have in
+    while !off < n do
+      off :=
+        !off + read_some c ~timeout:c.mid_read ~started:true dst !off (n - !off)
+    done;
+    Bytes.unsafe_to_string dst
+  end
+
+(* Append the next [n] bytes to [b]: a chunk goes into the body's one
+   buffer without a string of its own. *)
+let read_into c b n =
+  let have = Int.min n (String.length c.buf) in
+  if have > 0 then begin
+    Buffer.add_substring b c.buf 0 have;
+    c.buf <- String.sub c.buf have (String.length c.buf - have)
+  end;
+  let left = ref (n - have) in
+  while !left > 0 do
+    let got =
+      read_some c ~timeout:c.mid_read ~started:true c.scratch 0
+        (Int.min !left (Bytes.length c.scratch))
+    in
+    Buffer.add_subbytes b c.scratch 0 got;
+    left := !left - got
+  done
 
 (* Read one (CR)LF-terminated line for chunked framing. *)
 let read_line c ~cap =
@@ -389,7 +438,7 @@ let read_chunked c ~max_body =
     end
     else begin
       if Buffer.length b + size > max_body then raise (Fail Body_too_large);
-      Buffer.add_string b (read_exact c size);
+      read_into c b size;
       (* terminator: CRLF, with a bare LF tolerated *)
       (match read_exact c 1 with
       | "\n" -> ()
@@ -521,8 +570,6 @@ let write_response c ~keep_alive r =
   Buffer.add_string b "\r\n";
   Buffer.add_string b r.body;
   try
-    (try Unix.setsockopt_float c.fd Unix.SO_SNDTIMEO c.send_timeout
-     with Unix.Unix_error _ | Invalid_argument _ -> ());
     write_all c (Buffer.contents b);
     true
   with Exit | Unix.Unix_error _ -> false

@@ -119,7 +119,7 @@ let analyze root =
                             (Option.value (Hashtbl.find_opt array_bases base) ~default:[])
                         else [])
                       (scope_tokens text)
-                    |> List.sort_uniq compare
+                    |> List.sort_uniq String.compare
                   in
                   let scopes = ref [] in
                   let rec walk node =
@@ -144,7 +144,7 @@ let analyze root =
                             List.iter
                               (fun a ->
                                 let s =
-                                  List.sort_uniq compare
+                                  List.sort_uniq String.compare
                                     (template_scope @ scope_of_text (Xml.text_content a))
                                 in
                                 if s <> [] then scopes := s :: !scopes)
@@ -170,23 +170,14 @@ let parse_report src =
              start; they still travel in the one diagnostic shape. *)
           Error [ Kit.Diag.error (Kit.Diag.point 0) msg ])
 
+(* Every scope name is declared: [analyze] keeps only declared
+   variables and the cells of declared arrays. *)
 let to_hypergraph inst =
   if inst.scopes = [] then Error "XCSP: no constraints"
-  else begin
-    let declared = Hashtbl.create 64 in
-    List.iter (fun v -> Hashtbl.replace declared v ()) inst.variables;
-    let undeclared =
-      List.concat_map
-        (fun scope -> List.filter (fun v -> not (Hashtbl.mem declared v)) scope)
-        inst.scopes
-    in
-    match undeclared with
-    | v :: _ -> Error (Printf.sprintf "XCSP: undeclared variable %s" v)
-    | [] ->
-        Ok
-          (Hg.Hypergraph.of_named_edges
-             (List.mapi (fun i scope -> (Printf.sprintf "c%d" i, scope)) inst.scopes))
-  end
+  else
+    Ok
+      (Hg.Hypergraph.of_named_edges
+         (List.mapi (fun i scope -> ("c" ^ string_of_int i, scope)) inst.scopes))
 
 let read_report src =
   match parse_report src with

@@ -25,10 +25,10 @@ val parse_report : string -> (instance, Kit.Diag.t list) result
 
 val read_report : string -> (Hg.Hypergraph.t, Kit.Diag.t list) result
 (** {!parse_report} followed by the translation to a hypergraph, which
-    fails, anchored at offset 0, when a constraint references an
-    undeclared variable or the instance has no constraints. Variables not
-    occurring in any scope are dropped (hypergraphs have no isolated
-    vertices). *)
+    fails, anchored at offset 0, when the instance has no constraints.
+    A scope keeps only declared variables (a token naming none is not a
+    reference), and variables not occurring in any scope are dropped
+    (hypergraphs have no isolated vertices). *)
 
 val identifiers : Hg.Hypergraph.t -> string array
 (** The variable id {!to_xml} writes for each vertex. A name made only of

@@ -5,7 +5,7 @@ type node =
 exception Xml_error of Kit.Diag.t
 
 let decode_entities s =
-  if not (String.contains s '&') then s
+  if Option.is_none (String.index_opt s '&') then s
   else begin
     let buf = Buffer.create (String.length s) in
     let i = ref 0 in
@@ -47,7 +47,7 @@ let parse_report src =
   let error_at start msg =
     raise (Xml_error (Kit.Diag.error (Kit.Diag.span start !pos) msg))
   in
-  let peek_char () = if !pos < len then Some src.[!pos] else None in
+  let looking_at c = !pos < len && src.[!pos] = c in
   let skip_ws () =
     while
       !pos < len
@@ -56,19 +56,27 @@ let parse_report src =
       incr pos
     done
   in
-  let starts_with prefix =
-    !pos + String.length prefix <= len
-    && String.sub src !pos (String.length prefix) = prefix
+  (* Prefix probes compare in place: the reader copies out only the
+     names, values and texts that go into the tree. *)
+  let at i prefix =
+    let n = String.length prefix in
+    i + n <= len
+    &&
+    let j = ref 0 in
+    while !j < n && src.[i + !j] = prefix.[!j] do incr j done;
+    !j = n
+  in
+  let starts_with prefix = at !pos prefix in
+  let find_from i close =
+    let rec search i =
+      if i + String.length close > len then None
+      else if at i close then Some i
+      else search (i + 1)
+    in
+    search i
   in
   let skip_until close =
-    match
-      let rec search i =
-        if i + String.length close > len then None
-        else if String.sub src i (String.length close) = close then Some i
-        else search (i + 1)
-      in
-      search !pos
-    with
+    match find_from !pos close with
     | Some i -> pos := i + String.length close
     | None ->
         let start = !pos in
@@ -88,22 +96,21 @@ let parse_report src =
   let attribute () =
     let n = name () in
     skip_ws ();
-    if peek_char () <> Some '=' then error "expected '='";
+    if not (looking_at '=') then error "expected '='";
     incr pos;
     skip_ws ();
-    match peek_char () with
-    | Some (('"' | '\'') as q) ->
-        let start = !pos in
-        incr pos;
-        let close = try String.index_from src !pos q with Not_found -> -1 in
-        if close < 0 then begin
-          pos := len;
-          error_at start "unterminated attribute value"
-        end;
+    if not (looking_at '"' || looking_at '\'') then
+      error "expected quoted attribute value";
+    let start = !pos in
+    incr pos;
+    match String.index_from_opt src !pos src.[start] with
+    | None ->
+        pos := len;
+        error_at start "unterminated attribute value"
+    | Some close ->
         let v = String.sub src !pos (close - !pos) in
         pos := close + 1;
         (n, decode_entities v)
-    | _ -> error "expected quoted attribute value"
   in
   let rec skip_misc () =
     skip_ws ();
@@ -125,15 +132,13 @@ let parse_report src =
        decoding, no nesting — the section ends at the first "]]>". *)
     pos := !pos + 9;
     let start = !pos in
-    let rec search i =
-      if i + 3 > len then begin
-        pos := len;
-        error_at start "missing ]]>"
-      end
-      else if String.sub src i 3 = "]]>" then i
-      else search (i + 1)
+    let stop =
+      match find_from start "]]>" with
+      | Some i -> i
+      | None ->
+          pos := len;
+          error_at start "missing ]]>"
     in
-    let stop = search !pos in
     let text = String.sub src start (stop - start) in
     pos := stop + 3;
     text
@@ -141,24 +146,24 @@ let parse_report src =
   let rec element depth =
     if depth >= max_depth then
       raise (Xml_error (Kit.Limits.depth_error ~at:!pos));
-    if peek_char () <> Some '<' then error "expected '<'";
+    if not (looking_at '<') then error "expected '<'";
     incr pos;
     let tag = name () in
     let rec attrs acc =
       skip_ws ();
-      match peek_char () with
-      | Some '>' ->
+      if !pos >= len then error "unterminated tag";
+      match src.[!pos] with
+      | '>' ->
           incr pos;
           (List.rev acc, `Open)
-      | Some '/' ->
+      | '/' ->
           incr pos;
-          if peek_char () = Some '>' then begin
+          if looking_at '>' then begin
             incr pos;
             (List.rev acc, `Selfclosing)
           end
           else error "expected '/>'"
-      | Some _ -> attrs (attribute () :: acc)
-      | None -> error "unterminated tag"
+      | _ -> attrs (attribute () :: acc)
     in
     let attributes, kind = attrs [] in
     match kind with
@@ -178,20 +183,28 @@ let parse_report src =
       pos := !pos + 2;
       let n = name () in
       skip_ws ();
-      if peek_char () <> Some '>' then error "expected '>'";
+      if not (looking_at '>') then error "expected '>'";
       incr pos;
       if n <> closing then
         error (Printf.sprintf "mismatched </%s>, expected </%s>" n closing);
       List.rev acc
     end
-    else if peek_char () = Some '<' then
+    else if looking_at '<' then
       content depth closing (element (depth + 1) :: acc)
     else begin
       let start = !pos in
-      while !pos < len && src.[!pos] <> '<' do incr pos done;
-      let text = String.sub src start (!pos - start) in
-      if String.trim text = "" then content depth closing acc
-      else content depth closing (Text (decode_entities text) :: acc)
+      let blank = ref true in
+      while !pos < len && src.[!pos] <> '<' do
+        (* the characters [String.trim] strips *)
+        (match src.[!pos] with
+        | ' ' | '\012' | '\n' | '\r' | '\t' -> ()
+        | _ -> blank := false);
+        incr pos
+      done;
+      if !blank then content depth closing acc
+      else
+        content depth closing
+          (Text (decode_entities (String.sub src start (!pos - start))) :: acc)
     end
   in
   match Kit.Limits.check_input src with

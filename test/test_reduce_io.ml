@@ -123,6 +123,29 @@ let io_subedges () =
       | Decomp.Subedge 0 -> ()
       | _ -> Alcotest.fail "subedge source lost")
 
+(* Names resolve through an index, not a scan: a 600-vertex path with
+   quoted names goes out and back to the same decomposition, text for
+   text. *)
+let io_roundtrip_large () =
+  let n = 600 in
+  let name i = Printf.sprintf "v %d" i in
+  let h =
+    H.of_named_edges
+      (List.init (n - 1) (fun i -> (Printf.sprintf "e%d" i, [ name i; name (i + 1) ])))
+  in
+  Alcotest.(check bool) "at least 500 vertices" true (h.H.n_vertices >= 500);
+  match Detk.solve ~deadline:(Kit.Deadline.of_fuel 1_000_000) h ~k:1 with
+  | Detk.Decomposition d -> (
+      let text = Decomp_io.to_text h d in
+      match Decomp_io.of_text h text with
+      | Error m -> Alcotest.fail m
+      | Ok d' ->
+          Alcotest.(check bool) "valid after roundtrip" true
+            (Decomp.check_hd h d' = []);
+          Alcotest.(check int) "same size" (Decomp.size d) (Decomp.size d');
+          Alcotest.(check string) "same text" text (Decomp_io.to_text h d'))
+  | _ -> Alcotest.fail "a path has width 1"
+
 let io_errors () =
   List.iter
     (fun text ->
@@ -136,6 +159,17 @@ let io_errors () =
       "  {v0} [e0]" (* indented root *);
       "{v0, v1} [e0]\n{v1, v2} [e1]" (* two roots *);
       "junk";
+    ];
+  (* Unknown names keep their messages. *)
+  List.iter
+    (fun (text, msg) ->
+      Alcotest.(check (result unit string))
+        text (Error msg)
+        (Result.map ignore (Decomp_io.of_text triangle text)))
+    [
+      ("{v0, v1} [nonexistent]", "unknown edge nonexistent");
+      ("{bogus} [e0]", "unknown vertex bogus");
+      ("{v0} [e0~{nowhere}]", "unknown vertex nowhere");
     ]
 
 let () =
@@ -156,6 +190,7 @@ let () =
           Alcotest.test_case "roundtrip" `Quick io_roundtrip;
           qt io_roundtrip_random;
           Alcotest.test_case "subedges" `Quick io_subedges;
+          Alcotest.test_case "600 vertices roundtrip" `Quick io_roundtrip_large;
           Alcotest.test_case "errors" `Quick io_errors;
         ] );
     ]

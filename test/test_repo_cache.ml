@@ -262,6 +262,81 @@ let cache_corruption_degrades () =
   Kit.Metrics.reset ();
   rm_rf dir
 
+(* The key API: an entry stored under [key h] answers only for [h]'s
+   structure, and every lookup ticks exactly one of hit, miss and
+   invalid. *)
+let cache_key_lookups () =
+  let dir = tmpdir () in
+  let cache = B.Result_cache.create ~dir in
+  let h = gen_hg (Rng.create 49) in
+  let k = H.arity h in
+  let key = B.Result_cache.key h in
+  Alcotest.(check string) "key carries the graph's fingerprint"
+    (H.fingerprint h) (B.Result_cache.fingerprint key);
+  Kit.Metrics.enabled := true;
+  Kit.Metrics.reset ();
+  let ticks () =
+    let snap = Kit.Metrics.snapshot () in
+    let count name =
+      try List.assoc name snap.Kit.Metrics.counters with Not_found -> 0
+    in
+    (count "cache.hit", count "cache.miss", count "cache.invalid")
+  in
+  let lookup what key expect =
+    let h0, m0, i0 = ticks () in
+    let r = B.Result_cache.find_key cache key ~meth:"hd" ~k in
+    let h1, m1, i1 = ticks () in
+    Alcotest.(check (list int))
+      (what ^ ": hit, miss, invalid ticks") expect
+      [ h1 - h0; m1 - m0; i1 - i0 ];
+    r
+  in
+  Alcotest.(check bool) "empty store misses" true
+    (lookup "empty" key [ 0; 1; 0 ] = None);
+  (match Detk.solve ~deadline:(fuel ()) h ~k with
+  | Detk.Decomposition d ->
+      B.Result_cache.store_key cache key ~meth:"hd" ~k (B.Result_cache.Yes d)
+  | _ -> Alcotest.fail "expected a decomposition at k = arity");
+  (match lookup "stored" key [ 1; 0; 0 ] with
+  | Some (B.Result_cache.Yes d) ->
+      Alcotest.(check bool) "hit replays a valid witness" true
+        (Decomp.check_hd h d = [] && Decomp.width d <= k)
+  | _ -> Alcotest.fail "stored entry did not hit");
+  (* One more edge, or one renamed vertex: another structure, another
+     key, and a miss however similar the graphs are. *)
+  let edges =
+    List.init h.H.n_edges (fun e ->
+        ( H.edge_name h e,
+          List.map (H.vertex_name h) (Kit.Bitset.to_list (H.edge h e)) ))
+  in
+  let grown = H.of_named_edges (edges @ [ ("extra", [ H.vertex_name h 0 ]) ]) in
+  let renamed =
+    H.of_named_edges
+      (List.map
+         (fun (e, vs) ->
+           (e, List.map (fun v -> if v = H.vertex_name h 0 then v ^ "'" else v) vs))
+         edges)
+  in
+  List.iter
+    (fun (what, h') ->
+      Alcotest.(check bool) (what ^ ": structurally different") false
+        (H.fingerprint h' = H.fingerprint h);
+      Alcotest.(check bool) (what ^ " misses") true
+        (lookup what (B.Result_cache.key h') [ 0; 1; 0 ] = None))
+    [ ("extra edge", grown); ("renamed vertex", renamed) ];
+  (* A damaged entry is one invalid tick, never a hit or a miss. *)
+  List.iter
+    (fun f ->
+      let oc = open_out f in
+      output_string oc "{\"fingerprint\":";
+      close_out oc)
+    (cache_entry_files dir);
+  Alcotest.(check bool) "damaged entry is invalid" true
+    (lookup "damaged" key [ 0; 0; 1 ] = None);
+  Kit.Metrics.enabled := false;
+  Kit.Metrics.reset ();
+  rm_rf dir
+
 (* ---------- satellite (1): filename collisions ---------- *)
 
 let instance name hg = B.Instance.make ~name ~group:B.Group.CQ_application ~source:"test" hg
@@ -553,6 +628,8 @@ let () =
             cache_store_hit_roundtrip;
           Alcotest.test_case "corruption degrades to miss" `Slow
             cache_corruption_degrades;
+          Alcotest.test_case "key lookups tick once, miss on other graphs"
+            `Quick cache_key_lookups;
         ] );
       ( "repository",
         [
