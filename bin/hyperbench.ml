@@ -277,10 +277,10 @@ let analyze_cmd =
 
 (* --- decompose --------------------------------------------------------------- *)
 
-let method_conv =
-  Arg.enum
-    [ ("hd", `Hd); ("globalbip", `Global); ("localbip", `Local);
-      ("balsep", `Balsep); ("portfolio", `Portfolio) ]
+let methods =
+  ("hd", `Hd)
+  :: List.map (fun (n, alg) -> (n, `Ghd alg)) Ghd.Portfolio.methods
+  @ [ ("portfolio", `Portfolio) ]
 
 let decompose_cmd =
   let run path k meth timeout jobs isolate dot save stats stats_json =
@@ -290,9 +290,9 @@ let decompose_cmd =
     let outcome =
       match meth with
       | `Hd -> Detk.solve ~deadline:(deadline ()) h ~k
-      | `Global -> (Ghd.Global_bip.solve ~deadline:(deadline ()) h ~k).Ghd.Global_bip.outcome
-      | `Local -> (Ghd.Local_bip.solve ~deadline:(deadline ()) h ~k).Ghd.Local_bip.outcome
-      | `Balsep -> (Ghd.Bal_sep.solve ~deadline:(deadline ()) h ~k).Ghd.Bal_sep.outcome
+      | `Ghd alg ->
+          (Ghd.Portfolio.solve alg ~deadline:(deadline ()) h ~k)
+            .Ghd.Global_bip.outcome
       | `Portfolio -> (
           (* With more than one job the algorithms race on separate
              domains and the first exact verdict cancels the rest
@@ -336,9 +336,9 @@ let decompose_cmd =
   let meth =
     Arg.(
       value
-      & opt method_conv `Hd
+      & opt (enum methods) `Hd
       & info [ "m"; "method" ] ~docv:"METHOD"
-          ~doc:"hd | globalbip | localbip | balsep | portfolio.")
+          ~doc:(String.concat " | " (List.map fst methods) ^ "."))
   in
   let dot =
     Arg.(value & flag & info [ "dot" ] ~doc:"Emit GraphViz instead of text.")

@@ -31,28 +31,15 @@ let pool_map ?jobs f xs =
 let analyze_one ~budget ~max_k ?cache (inst : Instance.t) =
   let h = inst.Instance.hg in
   let profile = Hg.Properties.profile ~deadline:(budget ()) h in
-  (* With a cache, each Check(HD,k) level first consults the store (a
-     validated hit replays the witness through the checker inside
-     Result_cache.find); definitive verdicts from a real solve are
-     written back. Timeouts stay uncached — they depend on the budget,
-     not the instance. *)
-  let cache = Option.map (fun c -> (c, Result_cache.key h)) cache in
-  let solve k =
+  (* With a cache, each Check(HD,k) level goes through the store
+     (Result_cache.solve_hd); without one, the graph is not even
+     fingerprinted. *)
+  let solve =
     match cache with
-    | None -> Detk.solve ~deadline:(budget ()) h ~k
-    | Some (c, key) -> (
-        match Result_cache.find_key c key ~meth:"hd" ~k with
-        | Some (Result_cache.Yes d) -> Detk.Decomposition d
-        | Some Result_cache.No -> Detk.No_decomposition
-        | None ->
-            let o = Detk.solve ~deadline:(budget ()) h ~k in
-            (match o with
-            | Detk.Decomposition d ->
-                Result_cache.store_key c key ~meth:"hd" ~k (Result_cache.Yes d)
-            | Detk.No_decomposition ->
-                Result_cache.store_key c key ~meth:"hd" ~k Result_cache.No
-            | Detk.Timeout -> ());
-            o)
+    | None -> fun k -> Detk.solve ~deadline:(budget ()) h ~k
+    | Some c ->
+        let key = Result_cache.key h in
+        fun k -> fst (Result_cache.solve_hd c ~deadline:(budget ()) key ~k)
   in
   let rec levels k acc had_timeout =
     if k > max_k then (List.rev acc, Open_above max_k, None)
@@ -179,7 +166,7 @@ let ghd_comparison ?(budget = default_budget) ?(ks = [ 3; 4; 5; 6 ]) ?jobs
           let h = r.instance.Instance.hg in
           let target_k = k - 1 in
           let run alg =
-            let { Ghd.Bal_sep.outcome; exact }, seconds =
+            let { Ghd.Global_bip.outcome; exact }, seconds =
               timed (fun () ->
                   Ghd.Portfolio.solve alg ~deadline:(budget ()) h ~k:target_k)
             in

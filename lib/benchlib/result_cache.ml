@@ -108,5 +108,22 @@ let find_key t { hg; fp } ~meth ~k =
                         else invalid ()))
             | Some _ | None -> invalid ()))
 
+let find_hd t key ~k =
+  match find_key t key ~meth:"hd" ~k with
+  | Some (Yes d) -> Some (Detk.Decomposition d)
+  | Some No -> Some Detk.No_decomposition
+  | None -> None
+
+let solve_hd t ?sweep ~deadline key ~k =
+  match find_hd t key ~k with
+  | Some o -> (o, true)
+  | None ->
+      let o = Detk.solve ~deadline ?sweep key.hg ~k in
+      (match o with
+      | Detk.Decomposition d -> store_key t key ~meth:"hd" ~k (Yes d)
+      | Detk.No_decomposition -> store_key t key ~meth:"hd" ~k No
+      | Detk.Timeout -> ());
+      (o, false)
+
 let store t hg = store_key t (key hg)
 let find t hg = find_key t (key hg)

@@ -54,6 +54,18 @@ val store_key : t -> key -> meth:string -> k:int -> verdict -> unit
     the same key are safe — last rename wins and both contents are
     valid). I/O failure raises [Sys_error]. *)
 
+val find_hd : t -> key -> k:int -> Detk.outcome option
+(** {!find_key} of a Check(HD,k) level, which is stored under method
+    ["hd"]. *)
+
+val solve_hd :
+  t -> ?sweep:Detk.sweep_cache -> deadline:Kit.Deadline.t -> key -> k:int ->
+  Detk.outcome * bool
+(** One level of Check(HD,k) with the store in the loop: a validated
+    hit ({!find_hd}) replaces the solve; on a miss
+    {!Detk.solve} runs and a definitive verdict is stored ({!store_key}),
+    a timeout is not. The flag is [true] on a hit. *)
+
 val find : t -> Hg.Hypergraph.t -> meth:string -> k:int -> verdict option
 (** [find t h] is [find_key t (key h)]. *)
 

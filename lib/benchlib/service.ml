@@ -82,7 +82,7 @@ let parse_payload (req : Serve.Http.request) =
    Marshal when isolation is on. *)
 type solved = {
   s_verdict : string;  (* "yes" | "no" | "timeout" *)
-  s_k : int;  (* the level the verdict is about *)
+  s_k : int;  (* the level the verdict is about, -1 when unknown *)
   s_width : int;  (* witness width, -1 when none *)
   s_decomp : string;  (* Decomp_io.to_text witness, "" when none *)
   s_algorithm : string;  (* deciding algorithm *)
@@ -115,41 +115,32 @@ let timeout ~k ~alg =
   { s_verdict = "timeout"; s_k = k; s_width = -1; s_decomp = "";
     s_algorithm = alg; s_cache = "off"; s_stats = Kit.Metrics.empty }
 
-(* Check(HD,k) with the cache in the loop — mirrors
-   [Analysis.analyze_one]: validated hits replace the solve, definitive
-   verdicts are written back, timeouts stay uncached. Only "hd" is
-   cache-eligible: GHD witnesses would fail the HD replay check on every
-   hit and poison the hit rate. *)
-let solve_hd_level ?cache ?sweep ~hits ~misses ~deadline key ~k =
-  let h = Result_cache.hypergraph key in
-  match cache with
-  | None -> Detk.solve ~deadline ?sweep h ~k
-  | Some c -> (
-      match Result_cache.find_key c key ~meth:"hd" ~k with
-      | Some (Result_cache.Yes d) ->
-          incr hits;
-          Detk.Decomposition d
-      | Some Result_cache.No ->
-          incr hits;
-          Detk.No_decomposition
-      | None ->
-          incr misses;
-          let o = Detk.solve ~deadline ?sweep h ~k in
-          (match o with
-          | Detk.Decomposition d ->
-              Result_cache.store_key c key ~meth:"hd" ~k (Result_cache.Yes d)
-          | Detk.No_decomposition ->
-              Result_cache.store_key c key ~meth:"hd" ~k Result_cache.No
-          | Detk.Timeout -> ());
-          o)
-
-let ghd_answer (a : Detk.outcome) ~exact ~k ~alg h =
-  match a with
+let ghd_answer { Ghd.Global_bip.outcome; exact } ~k ~alg h =
+  match outcome with
   | Detk.Decomposition d -> yes h d ~k ~alg
   | Detk.No_decomposition ->
       (* An inexact "no" (truncated subedge set) proves nothing. *)
       if exact then no ~k ~alg else timeout ~k ~alg
   | Detk.Timeout -> timeout ~k ~alg
+
+(* Check(HD,k) at the asked [k] or, without one, the width ladder
+   k = 1..max_k, whose first level that is not "no" decides. [step lvl]
+   answers one level, or [None] when it cannot (a miss on the cache-only
+   path), and then so does the whole answer. *)
+let hd_ladder h ~max_k ~k step =
+  let answer lvl = function
+    | Detk.Decomposition d -> yes h d ~k:lvl ~alg:"hd"
+    | Detk.No_decomposition -> no ~k:lvl ~alg:"hd"
+    | Detk.Timeout -> timeout ~k:lvl ~alg:"hd"
+  in
+  let rec go lvl =
+    if lvl > max_k then Some (no ~k:max_k ~alg:"hd")
+    else
+      match step lvl with
+      | Some Detk.No_decomposition -> go (lvl + 1)
+      | o -> Option.map (answer lvl) o
+  in
+  match k with Some k -> Option.map (answer k) (step k) | None -> go 1
 
 (* Runs in the solving process (in-process or forked child). A forked
    child wraps the whole solve in [local_delta] so cache hits/misses and
@@ -157,7 +148,7 @@ let ghd_answer (a : Detk.outcome) ~exact ~k ~alg h =
    result; in-process they are already in the daemon's store. *)
 let solve_once ~cfg ~meth ~k ~budget key () =
   let h = Result_cache.hypergraph key in
-  let hits = ref 0 and misses = ref 0 in
+  let missed = ref false in
   let recorded f =
     if cfg.isolate then Kit.Metrics.local_delta f
     else (f (), Kit.Metrics.empty)
@@ -165,43 +156,24 @@ let solve_once ~cfg ~meth ~k ~budget key () =
   let r, delta =
     recorded (fun () ->
         match (meth, k) with
-        | "hd", Some k -> (
-            let deadline = fresh_deadline budget in
-            match
-              solve_hd_level ?cache:cfg.cache ~hits ~misses ~deadline key ~k
-            with
-            | Detk.Decomposition d -> yes h d ~k ~alg:"hd"
-            | Detk.No_decomposition -> no ~k ~alg:"hd"
-            | Detk.Timeout -> timeout ~k ~alg:"hd")
-        | "hd", None ->
-            (* Width ladder: one shared budget, one shared sweep table
-               (failure proofs accumulate across levels). *)
+        | "hd", _ ->
+            (* One budget and one sweep table for every level (failure
+               proofs accumulate across levels). Only "hd" is
+               cache-eligible: GHD witnesses would fail the HD replay
+               check on every hit and poison the hit rate. *)
             let deadline = fresh_deadline budget in
             let sweep = Detk.sweep_cache () in
-            let rec go lvl =
-              if lvl > cfg.max_k then no ~k:cfg.max_k ~alg:"hd"
-              else
-                match
-                  solve_hd_level ?cache:cfg.cache ~hits ~misses ~sweep
-                    ~deadline key ~k:lvl
-                with
-                | Detk.Decomposition d -> yes h d ~k:lvl ~alg:"hd"
-                | Detk.No_decomposition -> go (lvl + 1)
-                | Detk.Timeout -> timeout ~k:lvl ~alg:"hd"
+            let step lvl =
+              match cfg.cache with
+              | None -> Some (Detk.solve ~deadline ~sweep h ~k:lvl)
+              | Some c ->
+                  let o, hit =
+                    Result_cache.solve_hd c ~sweep ~deadline key ~k:lvl
+                  in
+                  if not hit then missed := true;
+                  Some o
             in
-            go 1
-        | "balsep", Some k ->
-            let a = Ghd.Bal_sep.solve ~deadline:(fresh_deadline budget) h ~k in
-            ghd_answer a.Ghd.Bal_sep.outcome ~exact:a.Ghd.Bal_sep.exact ~k
-              ~alg:"balsep" h
-        | "localbip", Some k ->
-            let a = Ghd.Local_bip.solve ~deadline:(fresh_deadline budget) h ~k in
-            ghd_answer a.Ghd.Local_bip.outcome ~exact:a.Ghd.Local_bip.exact ~k
-              ~alg:"localbip" h
-        | "globalbip", Some k ->
-            let a = Ghd.Global_bip.solve ~deadline:(fresh_deadline budget) h ~k in
-            ghd_answer a.Ghd.Global_bip.outcome ~exact:a.Ghd.Global_bip.exact ~k
-              ~alg:"globalbip" h
+            Option.get (hd_ladder h ~max_k:cfg.max_k ~k step)
         | "portfolio", Some k -> (
             (* The sequential portfolio: [Portfolio.race] spawns domains,
                which would permanently break [Unix.fork] in this
@@ -216,12 +188,18 @@ let solve_once ~cfg ~meth ~k ~budget key () =
             | Ghd.Portfolio.No alg ->
                 no ~k ~alg:(Ghd.Portfolio.algorithm_name alg)
             | Ghd.Portfolio.All_timeout -> timeout ~k ~alg:"portfolio")
-        | _ -> invalid_arg "method requires k")
+        | m, Some k ->
+            let alg = List.assoc m Ghd.Portfolio.methods in
+            let a =
+              Ghd.Portfolio.solve alg ~deadline:(fresh_deadline budget) h ~k
+            in
+            ghd_answer a ~k ~alg:m h
+        | _, None -> invalid_arg "method requires k")
   in
   let s_cache =
     if cfg.cache = None || meth <> "hd" then "off"
-    else if !hits > 0 && !misses = 0 then "hit"
-    else "miss"
+    else if !missed then "miss"
+    else "hit"
   in
   { r with s_cache; s_stats = delta }
 
@@ -312,8 +290,7 @@ let payload_err = function
   | Invalid { format; source; diags } ->
       json_response 422 (rejection ~format ~source diags)
 
-let methods =
-  [ "hd"; "balsep"; "localbip"; "globalbip"; "portfolio" ]
+let methods = ("hd" :: List.map fst Ghd.Portfolio.methods) @ [ "portfolio" ]
 
 exception Bad_param of string
 
@@ -364,7 +341,7 @@ let solved_json key ~meth (s : solved) =
     [ ("fingerprint", Kit.Json.String (Result_cache.fingerprint key));
       ("method", Kit.Json.String meth);
       ("algorithm", Kit.Json.String s.s_algorithm);
-      ("k", Kit.Json.Int s.s_k);
+      ("k", if s.s_k >= 0 then Kit.Json.Int s.s_k else Kit.Json.Null);
       ("verdict", Kit.Json.String s.s_verdict);
       ("width",
        if s.s_width >= 0 then Kit.Json.Int s.s_width else Kit.Json.Null);
@@ -382,28 +359,13 @@ let m_degraded = Kit.Metrics.counter "serve.degraded_hits"
    admit we are degraded: 503 with the breaker's honest probe schedule
    as Retry-After. *)
 let degraded cfg key ~meth ~k ~retry_after:ra =
-  let h = Result_cache.hypergraph key in
   let cached =
     match cfg.cache with
-    | Some c when meth = "hd" -> (
-        match k with
-        | Some k -> (
-            match Result_cache.find_key c key ~meth:"hd" ~k with
-            | Some (Result_cache.Yes d) -> Some (yes h d ~k ~alg:"hd")
-            | Some Result_cache.No -> Some (no ~k ~alg:"hd")
-            | None -> None)
-        | None ->
-            (* the width ladder is answerable from cache only if every
-               level up to the first Yes is cached *)
-            let rec go lvl =
-              if lvl > cfg.max_k then Some (no ~k:cfg.max_k ~alg:"hd")
-              else
-                match Result_cache.find_key c key ~meth:"hd" ~k:lvl with
-                | Some (Result_cache.Yes d) -> Some (yes h d ~k:lvl ~alg:"hd")
-                | Some Result_cache.No -> go (lvl + 1)
-                | None -> None
-            in
-            go 1)
+    | Some c when meth = "hd" ->
+        (* the width ladder is answerable from cache only if every
+           level up to the first Yes is cached *)
+        hd_ladder (Result_cache.hypergraph key) ~max_k:cfg.max_k ~k (fun lvl ->
+            Result_cache.find_hd c key ~k:lvl)
     | _ -> None
   in
   match cached with
@@ -484,18 +446,10 @@ let decompose cfg req =
                       json_response 200
                         ~headers:
                           [ ("X-HB-Seconds", Printf.sprintf "%.6f" seconds) ]
-                        (Kit.Json.Obj
-                           [ ("fingerprint",
-                              Kit.Json.String (Result_cache.fingerprint key));
-                             ("method", Kit.Json.String meth);
-                             ("algorithm", Kit.Json.String meth);
-                             ("k",
-                              match k with
-                              | Some k -> Kit.Json.Int k
-                              | None -> Kit.Json.Null);
-                             ("verdict", Kit.Json.String "timeout");
-                             ("width", Kit.Json.Null);
-                             ("decomposition", Kit.Json.Null) ])
+                        (solved_json key ~meth
+                           (timeout
+                              ~k:(Option.value k ~default:(-1))
+                              ~alg:meth))
                   | Kit.Outcome.Out_of_memory ->
                       Serve.Breaker.success br;
                       Serve.Http.response
@@ -530,10 +484,10 @@ let usage =
               ("GET /metrics", Kit.Json.String "Prometheus text format");
               ("POST /decompose",
                Kit.Json.String
-                 "body: hypergraph (Content-Type selects HG text, binary, \
-                  SQL or XCSP3); query: k, method \
-                  (hd|balsep|localbip|globalbip|portfolio), \
-                  timeout (seconds), fuel") ]) ])
+                 ("body: hypergraph (Content-Type selects HG text, binary, \
+                   SQL or XCSP3); query: k, method ("
+                 ^ String.concat "|" methods
+                 ^ "), timeout (seconds), fuel")) ]) ])
 
 let handler cfg =
   let router =

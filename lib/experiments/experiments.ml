@@ -349,12 +349,7 @@ let table6 ctx =
 
 (* --- ablations ------------------------------------------------------------------ *)
 
-let ablation ?budget ?(budget_seconds = 1.0) ctx =
-  let budget =
-    match budget with
-    | Some b -> b
-    | None -> fun () -> Kit.Deadline.of_seconds budget_seconds
-  in
+let ablation ?(budget = fun () -> Kit.Deadline.of_seconds 1.0) ctx =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf "Ablation: design choices\n";
   (* DetKDecomp failure memoisation. *)
@@ -627,14 +622,10 @@ let escalating_budget ?fuel seconds =
   in
   ((fun () -> at 0), fun ~attempt () -> at attempt)
 
-let prepare_campaign ?(seed = 2019) ?(scale = 1.0) ?(budget_seconds = 1.0)
-    ?budget ?budget_for ?retries ?mem_mb ?(max_k = 8) ?jobs ?isolate ?wall
-    ?shard ?cache ?journal ?(resume = false) () =
-  let budget =
-    match budget with
-    | Some b -> b
-    | None -> fun () -> Kit.Deadline.of_seconds budget_seconds
-  in
+let prepare_campaign ?(seed = 2019) ?(scale = 1.0)
+    ?(budget = fun () -> Kit.Deadline.of_seconds 1.0) ?budget_for ?retries
+    ?mem_mb ?(max_k = 8) ?jobs ?isolate ?wall ?shard ?cache ?journal
+    ?(resume = false) () =
   (match shard with
   | Some (s, n) when n < 1 || s < 0 || s >= n ->
       invalid_arg

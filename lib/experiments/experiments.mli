@@ -43,11 +43,10 @@ val table5 : context -> string
 val table6 : context -> string
 (** FracImproveHD improvement buckets. *)
 
-val ablation :
-  ?budget:(unit -> Kit.Deadline.t) -> ?budget_seconds:float -> context -> string
+val ablation : ?budget:(unit -> Kit.Deadline.t) -> context -> string
 (** Design-choice ablations: DetKDecomp failure memoisation on/off and
-    BalSep with/without the subedge fallback. [budget] overrides the
-    wall-clock [budget_seconds] with an arbitrary deadline factory (pass a
+    BalSep with/without the subedge fallback. [budget] (default 1 s of
+    wall clock per run) makes each run's deadline (pass a
     [Kit.Deadline.of_fuel] thunk to keep the whole campaign deterministic). *)
 
 (** {1 Fault-tolerant campaigns} *)
@@ -80,7 +79,6 @@ val escalating_budget :
 val prepare_campaign :
   ?seed:int ->
   ?scale:float ->
-  ?budget_seconds:float ->
   ?budget:(unit -> Kit.Deadline.t) ->
   ?budget_for:(attempt:int -> unit -> Kit.Deadline.t) ->
   ?retries:int ->
@@ -97,10 +95,9 @@ val prepare_campaign :
   (campaign, string) result
 (** Build the repository and run the shared hw / ghw / fractional
     analyses that every table and figure renders from.
-    [budget_seconds] (default 1.0) is the per-run timeout, the
-    scaled-down stand-in for the paper's 3600 s; [budget] overrides it
-    with any per-run deadline factory ([Kit.Deadline.of_fuel] for
-    bit-reproducible runs). [jobs] (default {!Kit.Config.jobs}) runs the
+    [budget] makes each run's deadline: by default a 1 s wall-clock
+    timeout, the scaled-down stand-in for the paper's 3600 s, or any
+    factory ([Kit.Deadline.of_fuel] for bit-reproducible runs). [jobs] (default {!Kit.Config.jobs}) runs the
     per-instance loops on a domain pool; results are collected in
     instance order, so with a fuel budget the tables are identical at
     every [jobs] value.

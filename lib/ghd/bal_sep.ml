@@ -15,7 +15,7 @@ let m_subedge_phases = Metrics.counter "balsep.subedge_phases"
    recursion depth" claim. *)
 let m_depth = Metrics.histogram "balsep.depth" ~buckets:[| 1; 2; 4; 8; 16; 24; 32; 48 |]
 
-type answer = {
+type answer = Global_bip.answer = {
   outcome : Detk.outcome;
   exact : bool;
 }
@@ -125,10 +125,7 @@ type env = {
   nv : int;
   w : int;
   deadline : Deadline.t;
-  memoize : bool;
   use_subedges : bool;
-  expand_limit : int option;
-  max_subedges : int option;
   failed : (int list list, unit) Hashtbl.t;
   edges : pool;
   mutable extended : pool option;
@@ -141,8 +138,7 @@ let extended env =
   | Some p -> p
   | None ->
       let { Subedges.candidates; complete } =
-        Subedges.f_global ~deadline:env.deadline ?expand_limit:env.expand_limit
-          ?max_subedges:env.max_subedges env.h ~k:env.k
+        Subedges.f_global ~deadline:env.deadline env.h ~k:env.k
       in
       if not complete then env.exact <- false;
       let p =
@@ -165,10 +161,10 @@ let rec decompose env ~depth h' sp : Decomp.node option =
   Deadline.check env.deadline;
   Metrics.observe m_depth depth;
   let key = memo_key h' sp in
-  if env.memoize && Hashtbl.mem env.failed key then None
+  if Hashtbl.mem env.failed key then None
   else begin
     let r = attempt env ~depth h' sp in
-    if r = None && env.memoize then Hashtbl.replace env.failed key ();
+    if r = None then Hashtbl.replace env.failed key ();
     r
   end
 
@@ -354,8 +350,7 @@ and attempt env ~depth h' sp =
         end
   end
 
-let solve ?(deadline = Deadline.none) ?(memoize = true) ?(use_subedges = true)
-    ?expand_limit ?max_subedges h ~k =
+let solve ?(deadline = Deadline.none) ?(use_subedges = true) h ~k =
   if k < 1 then invalid_arg "Bal_sep.solve: k must be >= 1";
   let nv = h.Hypergraph.n_vertices in
   let env =
@@ -365,10 +360,7 @@ let solve ?(deadline = Deadline.none) ?(memoize = true) ?(use_subedges = true)
       nv;
       w = Bitset.word_count nv;
       deadline;
-      memoize;
       use_subedges;
-      expand_limit;
-      max_subedges;
       failed = Hashtbl.create 128;
       edges = pool_of nv (Array.of_list (Detk.candidates_of_edges h));
       extended = None;

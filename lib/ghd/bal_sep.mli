@@ -13,17 +13,14 @@
     subedges from f(H,k) are tried only afterwards (same caveat on
     completeness as GlobalBIP when the subedge set is truncated). *)
 
-type answer = {
+type answer = Global_bip.answer = {
   outcome : Detk.outcome;
   exact : bool;
 }
 
 val solve :
   ?deadline:Kit.Deadline.t ->
-  ?memoize:bool ->
   ?use_subedges:bool ->
-  ?expand_limit:int ->
-  ?max_subedges:int ->
   Hg.Hypergraph.t ->
   k:int ->
   answer

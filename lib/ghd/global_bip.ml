@@ -26,10 +26,10 @@ let fix_covers h d =
       | Decomp.Original _ | Decomp.Special -> elt)
     d
 
-let solve ?deadline ?expand_limit ?max_subedges ?c h ~k =
+let solve ?deadline h ~k =
   match
     let { Subedges.candidates = subs; complete } =
-      Subedges.f_global ?deadline ?expand_limit ?max_subedges ?c h ~k
+      Subedges.f_global ?deadline h ~k
     in
     let candidates = Detk.candidates_of_edges h @ subs in
     Kit.Metrics.incr m_solves;

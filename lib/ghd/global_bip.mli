@@ -11,18 +11,10 @@ type answer = {
   outcome : Detk.outcome;
   exact : bool;  (** false when the subedge set was truncated *)
 }
+(** What every GHD algorithm answers: {!Local_bip} and {!Bal_sep}
+    re-export this type. *)
 
-val solve :
-  ?deadline:Kit.Deadline.t ->
-  ?expand_limit:int ->
-  ?max_subedges:int ->
-  ?c:int ->
-  Hg.Hypergraph.t ->
-  k:int ->
-  answer
-(** [c] (default 2) switches the subedge generation to the
-    c-multi-intersection variant (BMIP, §3.5) — useful when pairwise
-    intersections are large but triple intersections are small. *)
+val solve : ?deadline:Kit.Deadline.t -> Hg.Hypergraph.t -> k:int -> answer
 
 val fix_covers : Hg.Hypergraph.t -> Decomp.t -> Decomp.t
 (** Replace subedge cover elements by the original edges containing them

@@ -5,12 +5,12 @@ module Bitset = Kit.Bitset
 let m_extra_calls = Kit.Metrics.counter "localbip.extra_calls"
 let m_extra_cache_hits = Kit.Metrics.counter "localbip.extra_cache_hits"
 
-type answer = {
+type answer = Global_bip.answer = {
   outcome : Detk.outcome;
   exact : bool;
 }
 
-let solve ?deadline ?expand_limit ?max_subedges h ~k =
+let solve ?deadline h ~k =
   let all_complete = ref true in
   (* The local subedge set depends only on the component, so cache it. *)
   let cache : (int list, Detk.candidate list) Hashtbl.t = Hashtbl.create 32 in
@@ -23,7 +23,7 @@ let solve ?deadline ?expand_limit ?max_subedges h ~k =
         cs
     | None ->
         let { Subedges.candidates; complete } =
-          Subedges.f_local ?deadline ?expand_limit ?max_subedges h ~k ~comp
+          Subedges.f_local ?deadline h ~k ~comp
         in
         if not complete then all_complete := false;
         Hashtbl.replace cache key candidates;

@@ -4,15 +4,9 @@
     come from intersections with unions of edges of the current component
     only (Equation 2). *)
 
-type answer = {
+type answer = Global_bip.answer = {
   outcome : Detk.outcome;
   exact : bool;  (** false when some local subedge set was truncated *)
 }
 
-val solve :
-  ?deadline:Kit.Deadline.t ->
-  ?expand_limit:int ->
-  ?max_subedges:int ->
-  Hg.Hypergraph.t ->
-  k:int ->
-  answer
+val solve : ?deadline:Kit.Deadline.t -> Hg.Hypergraph.t -> k:int -> answer

@@ -38,15 +38,17 @@ let record_verdict v =
 
 let default_budget () = Kit.Deadline.none
 
+let methods =
+  [ ("balsep", Bal_sep_alg); ("localbip", Local_bip_alg);
+    ("globalbip", Global_bip_alg) ]
+
+let order = List.map snd methods
+
 let solve alg ~deadline h ~k =
   match alg with
   | Bal_sep_alg | Par_bal_sep_alg -> Bal_sep.solve ~deadline h ~k
-  | Local_bip_alg ->
-      let { Local_bip.outcome; exact } = Local_bip.solve ~deadline h ~k in
-      { Bal_sep.outcome; exact }
-  | Global_bip_alg ->
-      let { Global_bip.outcome; exact } = Global_bip.solve ~deadline h ~k in
-      { Bal_sep.outcome; exact }
+  | Local_bip_alg -> Local_bip.solve ~deadline h ~k
+  | Global_bip_alg -> Global_bip.solve ~deadline h ~k
 
 let fault_site alg =
   match alg with
@@ -65,7 +67,7 @@ let decide alg ~deadline h ~k =
         Kit.Fault.hit (fault_site alg);
         solve alg ~deadline h ~k)
   with
-  | Kit.Outcome.Ok { Bal_sep.outcome; exact } -> (
+  | Kit.Outcome.Ok { Global_bip.outcome; exact } -> (
       match outcome with
       | Detk.Decomposition d -> Some (Yes (d, alg))
       | Detk.No_decomposition when exact -> Some (No alg)
@@ -76,9 +78,7 @@ let decide alg ~deadline h ~k =
       Kit.Metrics.incr m_member_crash;
       None
 
-let order = [ Bal_sep_alg; Local_bip_alg; Global_bip_alg ]
-
-let check ?(budget = default_budget) ?(members = order) h ~k =
+let check ?(budget = default_budget) h ~k =
   let rec first = function
     | [] -> All_timeout
     | alg :: rest -> (
@@ -86,9 +86,9 @@ let check ?(budget = default_budget) ?(members = order) h ~k =
         | Some v -> v
         | None -> first rest)
   in
-  record_verdict (first members)
+  record_verdict (first order)
 
-let race ?(budget = default_budget) ?(members = order) h ~k =
+let race ?(budget = default_budget) h ~k =
   let flag = Kit.Deadline.new_cancel () in
   (* Wall-clock instant the winner pulled the flag: written before the
      cancel itself, so any loser that observed a cancelled flag also sees
@@ -116,7 +116,7 @@ let race ?(budget = default_budget) ?(members = order) h ~k =
     v
   in
   let results =
-    Kit.Pool.run_result ~jobs:(List.length members) run (Array.of_list members)
+    Kit.Pool.run_result ~jobs:(List.length order) run (Array.of_list order)
   in
   (* Reduce in the fixed algorithm order, not arrival order, so that ties
      between near-simultaneous finishers resolve deterministically. A
@@ -134,19 +134,18 @@ let race ?(budget = default_budget) ?(members = order) h ~k =
   in
   record_verdict (pick 0)
 
-let race_isolated ?(budget = default_budget) ?(members = order) ?mem_mb ?wall
-    h ~k =
+let race_isolated ?(budget = default_budget) ?mem_mb ?wall h ~k =
   (* One forked worker per member. The first decisive frame pulls the
      plug on the others with SIGKILL — no cooperative Deadline.check
      required of the losers, which is the whole point: a member stuck in
      a tight pivot loop cannot outlive the winner. Killed losers come
      back as [Timeout], exactly as if their budget had run out. *)
   let completions =
-    Kit.Proc.run ~jobs:(List.length members) ?mem_mb
+    Kit.Proc.run ~jobs:(List.length order) ?mem_mb
       ?wall:(Option.map (fun w ~attempt:_ -> w) wall)
       ~halt_on:(function Kit.Outcome.Ok (Some _) -> true | _ -> false)
       (fun ~attempt:_ alg -> decide alg ~deadline:(budget ()) h ~k)
-      (Array.of_list members)
+      (Array.of_list order)
   in
   (* Reduce in the fixed algorithm order (same tie-break as [race]). A
      member whose process died abnormally counts as a crashed member,

@@ -1,8 +1,10 @@
 (** Combined ghw computation (paper §6.4, Table 4): the paper runs
     GlobalBIP, LocalBIP and BalSep in parallel and takes the first
-    answer. We emulate this sequentially with a per-algorithm budget —
-    BalSep first (best on "no" instances), then LocalBIP, then GlobalBIP —
-    reporting which algorithm decided. *)
+    answer, reporting which algorithm decided. Three entry points run
+    that portfolio: {!check} runs the members one after another with a
+    per-algorithm budget — BalSep first (best on "no" instances), then
+    LocalBIP, then GlobalBIP; {!race} runs them concurrently on domains;
+    {!race_isolated} runs them concurrently as forked processes. *)
 
 type algorithm =
   | Bal_sep_alg
@@ -21,25 +23,26 @@ type verdict =
   | No of algorithm
   | All_timeout
 
+val methods : (string * algorithm) list
+(** The method table: the paper's three members, each under the
+    lower-case name by which the CLI ([decompose -m]) and the daemon
+    ([method=]) offer it. *)
+
 val order : algorithm list
-(** The paper's three-member portfolio (the default [members]). *)
+(** The members of {!methods}, in the order {!check} runs them. *)
 
 val solve :
   algorithm -> deadline:Kit.Deadline.t -> Hg.Hypergraph.t -> k:int ->
-  Bal_sep.answer
+  Global_bip.answer
 (** Run one member on Check(GHD,k), unguarded: no containment, no fault
     site, no win counter. *)
 
 val check :
-  ?budget:(unit -> Kit.Deadline.t) ->
-  ?members:algorithm list ->
-  Hg.Hypergraph.t ->
-  k:int ->
-  verdict
-(** Check(GHD,k) with the portfolio. [budget] produces a fresh deadline per
-    algorithm (default: none). Inexact "no" answers (truncated subedge
-    sets) are treated as timeouts so that [No] is always trustworthy.
-    [members] (default {!order}) selects and orders the algorithms.
+  ?budget:(unit -> Kit.Deadline.t) -> Hg.Hypergraph.t -> k:int -> verdict
+(** Check(GHD,k) with the portfolio, members in {!order}. [budget]
+    produces a fresh deadline per algorithm (default: none). Inexact
+    "no" answers (truncated subedge sets) are treated as timeouts so that
+    [No] is always trustworthy.
 
     Containment: every member runs inside {!Kit.Guard.run}, so a member
     that crashes, overflows its stack or trips the [HB_MEM_MB] budget is
@@ -49,11 +52,7 @@ val check :
     ["portfolio.globalbip"] let tests kill one member deliberately. *)
 
 val race :
-  ?budget:(unit -> Kit.Deadline.t) ->
-  ?members:algorithm list ->
-  Hg.Hypergraph.t ->
-  k:int ->
-  verdict
+  ?budget:(unit -> Kit.Deadline.t) -> Hg.Hypergraph.t -> k:int -> verdict
 (** Like {!check}, but the paper's actual protocol: all members run
     concurrently on separate domains, and the first exact verdict
     cancels the others cooperatively. The yes/no/timeout classification
@@ -69,7 +68,6 @@ val race :
 
 val race_isolated :
   ?budget:(unit -> Kit.Deadline.t) ->
-  ?members:algorithm list ->
   ?mem_mb:int ->
   ?wall:float ->
   Hg.Hypergraph.t ->

@@ -1,8 +1,6 @@
 type span = { start : int; stop : int }
 
-type severity = Error | Warning
-
-type t = { severity : severity; span : span; message : string }
+type t = { span : span; message : string }
 
 let span start stop =
   let start = max 0 start in
@@ -11,11 +9,9 @@ let span start stop =
 
 let point off = span off off
 
-let error sp message = { severity = Error; span = sp; message }
+let error sp message = { span = sp; message }
 
 let errorf sp fmt = Printf.ksprintf (error sp) fmt
-
-let warning sp message = { severity = Warning; span = sp; message }
 
 let compare a b =
   match Stdlib.compare a.span.start b.span.start with
@@ -38,8 +34,6 @@ let position source offset =
   done;
   { line = !line; col = offset - !bol + 1 }
 
-let severity_name = function Error -> "error" | Warning -> "warning"
-
 let prefix ?file ~source d =
   let p = position source d.span.start in
   match file with
@@ -47,8 +41,7 @@ let prefix ?file ~source d =
   | _ -> Printf.sprintf "%d:%d" p.line p.col
 
 let one_line ?file ~source d =
-  Printf.sprintf "%s: %s: %s" (prefix ?file ~source d)
-    (severity_name d.severity) d.message
+  Printf.sprintf "%s: error: %s" (prefix ?file ~source d) d.message
 
 (* Bounds of the source line containing [offset]: [bol, eol) excluding
    the newline itself. *)
@@ -108,7 +101,7 @@ let to_json ~source d =
   let p = position source d.span.start in
   Json.Obj
     [
-      ("severity", Json.String (severity_name d.severity));
+      ("severity", Json.String "error");
       ("line", Json.Int p.line);
       ("col", Json.Int p.col);
       ("offset", Json.Int d.span.start);

@@ -12,9 +12,9 @@ type span = { start : int; stop : int }
 (** Half-open byte range into the source. [stop >= start]; a zero-width
     span ([stop = start]) renders a single caret at [start]. *)
 
-type severity = Error | Warning
-
-type t = { severity : severity; span : span; message : string }
+type t = { span : span; message : string }
+(** Every diagnostic is an error: it is rendered and serialised with
+    severity ["error"]. *)
 
 val span : int -> int -> span
 (** [span start stop] with both clamped to be non-negative and ordered. *)
@@ -25,8 +25,6 @@ val point : int -> span
 val error : span -> string -> t
 
 val errorf : span -> ('a, unit, string, t) format4 -> 'a
-
-val warning : span -> string -> t
 
 type position = { line : int; col : int }
 (** 1-based line and column. *)

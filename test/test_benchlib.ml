@@ -316,9 +316,10 @@ let metrics_jobs_parity () =
 let experiments_render () =
   (* jobs:2 renders through the domain pool; the artefact shape checks
      below are jobs-independent. *)
+  let budget () = Kit.Deadline.of_seconds 0.2 in
   let ctx =
     match
-      Experiments.prepare_campaign ~seed:7 ~scale:0.05 ~budget_seconds:0.2
+      Experiments.prepare_campaign ~seed:7 ~scale:0.05 ~budget
         ~max_k:4 ~jobs:2 ()
     with
     | Ok c -> c.Experiments.context
@@ -335,7 +336,7 @@ let experiments_render () =
       (Experiments.table4 ctx, "Table 4");
       (Experiments.table5 ctx, "Table 5");
       (Experiments.table6 ctx, "Table 6");
-      ( Experiments.ablation ~budget_seconds:0.2 ctx,
+      ( Experiments.ablation ~budget ctx,
         "Ablation: design choices" );
     ]
   in

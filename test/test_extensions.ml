@@ -146,8 +146,12 @@ let bmip_agrees_with_bip =
       let edges = List.filter (( <> ) []) edges in
       QCheck.assume (List.length edges >= 2);
       let h = H.of_int_edges edges in
+      (* GlobalBIP's search over the edges plus f(H,k) built with [c]. *)
       let verdict c =
-        match (Ghd.Global_bip.solve ~c h ~k:2).Ghd.Global_bip.outcome with
+        let subs = (Ghd.Subedges.f_global ~c h ~k:2).Ghd.Subedges.candidates in
+        match
+          Detk.solve_gen ~candidates:(Detk.candidates_of_edges h @ subs) h ~k:2
+        with
         | Detk.Decomposition _ -> `Yes
         | Detk.No_decomposition -> `No
         | Detk.Timeout -> `Timeout

@@ -234,7 +234,7 @@ let cancelled_member_never_ticks () =
   let budget () = Kit.Deadline.with_cancel c Kit.Deadline.none in
   with_metrics (fun () ->
       (match
-         Ghd.Portfolio.check ~budget ~members:Ghd.Portfolio.order fano ~k:2
+         Ghd.Portfolio.check ~budget fano ~k:2
        with
       | Ghd.Portfolio.All_timeout -> ()
       | _ -> Alcotest.fail "expected all-timeout under a cancelled flag");

@@ -120,6 +120,57 @@ let decompose_verdicts () =
       Alcotest.(check bool) "portfolio verdict present" true
         (contains "\"verdict\":" r.Serve.Client.body))
 
+(* Every daemon method, one row each: the single methods report their
+   own lower-case name, the portfolio reports its winner (BalSep runs
+   first, and on the triangle it always decides). *)
+let every_method () =
+  with_server (fun port ->
+      let field name j =
+        match Kit.Json.member name j with
+        | Some (Kit.Json.String s) -> s
+        | Some (Kit.Json.Int i) -> string_of_int i
+        | _ -> Alcotest.failf "response lacks %s" name
+      in
+      List.iter
+        (fun (meth, k, verdict, algorithm) ->
+          let what = Printf.sprintf "%s k=%d" meth k in
+          let r =
+            get_ok
+              (Serve.Client.oneshot ~host ~port ~headers:[ hg_type ]
+                 ~body:triangle "POST"
+                 (decompose_target k
+                    ~extra:("&fuel=50000&method=" ^ meth)))
+          in
+          Alcotest.(check int) (what ^ " status") 200 r.Serve.Client.status;
+          match Kit.Json.of_string r.Serve.Client.body with
+          | Error m -> Alcotest.failf "%s: body is not JSON: %s" what m
+          | Ok j ->
+              Alcotest.(check string) (what ^ " method") meth
+                (field "method" j);
+              Alcotest.(check string) (what ^ " k") (string_of_int k)
+                (field "k" j);
+              Alcotest.(check string) (what ^ " verdict") verdict
+                (field "verdict" j);
+              Alcotest.(check string) (what ^ " algorithm") algorithm
+                (field "algorithm" j))
+        [ ("hd", 1, "no", "hd"); ("hd", 2, "yes", "hd");
+          ("balsep", 1, "no", "balsep"); ("balsep", 2, "yes", "balsep");
+          ("localbip", 1, "no", "localbip");
+          ("localbip", 2, "yes", "localbip");
+          ("globalbip", 1, "no", "globalbip");
+          ("globalbip", 2, "yes", "globalbip");
+          ("portfolio", 1, "no", "BalSep"); ("portfolio", 2, "yes", "BalSep") ];
+      let r =
+        get_ok
+          (Serve.Client.oneshot ~host ~port ~headers:[ hg_type ] ~body:triangle
+             "POST" (decompose_target 2 ~extra:"&method=frobnicate"))
+      in
+      Alcotest.(check bool) "400 names every method" true
+        (contains
+           "unknown method \\\"frobnicate\\\" (expected one of hd, balsep, \
+            localbip, globalbip, portfolio)"
+           r.Serve.Client.body))
+
 let decompose_errors () =
   with_server (fun port ->
       let post target body headers =
@@ -944,6 +995,47 @@ let breaker_degrades_and_recovers () =
             (contains "hb_serve_breaker_solver_opened" m.Serve.Client.body
             && contains "hb_serve_breaker_solver_rejected" m.Serve.Client.body)))
 
+(* With the breaker open, a width ladder (no [k]) on a graph whose
+   levels up to its width are cached answers from the cache alone, with
+   the healthy ladder's body; a graph with an uncached level is refused. *)
+let breaker_degraded_ladder () =
+  with_cache_dir (fun dir ->
+      let svc =
+        { svc_default with
+          Benchlib.Service.cache = Some (Benchlib.Result_cache.create ~dir);
+          supervisor =
+            Serve.Supervisor.create ~threshold:2 ~cooldown:60. ~retries:0 ()
+        }
+      in
+      with_server ~svc (fun port ->
+          let post target body =
+            get_ok
+              (Serve.Client.oneshot ~host ~port ~headers:[ hg_type ] ~body
+                 "POST" target)
+          in
+          let healthy = post "/decompose" triangle in
+          Alcotest.(check int) "healthy ladder" 200 healthy.Serve.Client.status;
+          Alcotest.(check bool) "healthy ladder finds k=2" true
+            (contains "\"k\":2" healthy.Serve.Client.body);
+          with_faults "kill@serve.worker:p1.0:s1" (fun () ->
+              for i = 1 to 2 do
+                let r = post (decompose_target 2) square in
+                Alcotest.(check int)
+                  (Printf.sprintf "crash %d answers 503" i)
+                  503 r.Serve.Client.status
+              done;
+              let degraded = post "/decompose" triangle in
+              Alcotest.(check int) "degraded ladder" 200
+                degraded.Serve.Client.status;
+              Alcotest.(check (option string)) "marked degraded"
+                (Some "cache")
+                (List.assoc_opt "x-hb-degraded" degraded.Serve.Client.headers);
+              Alcotest.(check string) "degraded ladder body byte-identical"
+                healthy.Serve.Client.body degraded.Serve.Client.body;
+              let miss = post "/decompose" square in
+              Alcotest.(check int) "uncached ladder refused" 503
+                miss.Serve.Client.status)))
+
 (* Tentpole: a torn response (server writes a prefix then hard-closes)
    is recovered by the retrying client without the caller noticing. *)
 let request_retry_survives_torn () =
@@ -1103,6 +1195,7 @@ let () =
           Alcotest.test_case "healthz and metrics" `Quick healthz_and_metrics;
           Alcotest.test_case "decompose verdicts" `Quick decompose_verdicts;
           Alcotest.test_case "decompose errors" `Quick decompose_errors;
+          Alcotest.test_case "every method at k=1 and k=2" `Quick every_method;
         ] );
       ( "protocol",
         [
@@ -1147,6 +1240,8 @@ let () =
             retry_after_estimate_pins;
           Alcotest.test_case "breaker degrades and recovers" `Slow
             breaker_degrades_and_recovers;
+          Alcotest.test_case "breaker-open ladder answers from cache" `Quick
+            breaker_degraded_ladder;
           Alcotest.test_case "request_retry survives torn response" `Quick
             request_retry_survives_torn;
           Alcotest.test_case "expired client deadline answers 504" `Quick
